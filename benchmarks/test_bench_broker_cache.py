@@ -97,7 +97,6 @@ def _stream(archive, segment_cache):
     stream = BGPStream(
         broker=Broker(archives=[archive]),
         segment_cache=segment_cache,
-        parallel=False,
     )
     stream.add_interval_filter(DUMP_START, DUMP_START + UPDATES_PER_COLLECTOR + 10)
     return stream

@@ -260,9 +260,7 @@ def test_interned_sequences_identical_under_parallel(rib_replay_specs):
             reset_default_pool()
             with parse_interning(interning):
                 if mode == "parallel":
-                    config = ParallelConfig(
-                        executor="thread", max_workers=2, intern=interning
-                    )
+                    config = ParallelConfig(max_workers=2, intern=interning)
                     with ParallelStreamEngine(config) as engine:
                         records = list(engine.iter_records(rib_replay_specs))
                         record_lists = [records]

@@ -92,7 +92,6 @@ def _replay(dump_path):
     reset_default_pool()
     stream = BGPStream(
         data_interface=SingleFileDataInterface(dump_path, dump_type="updates"),
-        eager=False,
     )
     matched = 0
     for _record, elem in stream.elems():

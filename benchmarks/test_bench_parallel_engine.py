@@ -5,15 +5,16 @@ overlapping intervals) is processed two ways:
 
 * the **sequential sorter** — the paper-faithful reference path: stream each
   dump through the parser and multi-way merge the generator heads; and
-* the **parallel batched engine** — per-subset fan-out of file parsing into
-  a worker pool, record delivery in timestamp-ordered batches, decoded
-  records cached per file so re-reads skip decoding.
+* the **parallel batched engine** — per-subset fan-out of file parsing
+  (in-process with one worker, a process pool otherwise), record delivery
+  in timestamp-ordered batches.
 
-The engine must (a) emit the *identical* record sequence (same order, same
-statuses) and (b) beat the sequential sorter on the measured rounds.  A cold
-first round is reported alongside: on a single-core box it is roughly at
-par (the engine's win there comes from the batched bulk parse and the cache,
-not from cores), while multi-core machines also parallelise the decode.
+The engine must emit the *identical* record sequence (same order, same
+statuses), cold and on a repeated pass.  Cold wall-clock of both paths is
+reported in ``extra_info`` and not gated: on a single-core box the engine
+is at or below par (whole files are materialised before the merge, and the
+pool pays pickling), which is what the ledger's ``core.parallel.speedup_x``
+records in absolute terms.
 """
 
 from __future__ import annotations
@@ -55,63 +56,34 @@ def test_parallel_engine_emits_identical_record_sequence(event_archive, event_sc
     specs = _all_specs(event_archive, event_scenario)
     reference = [_record_key(r) for r in SortedRecordMerger(specs)]
     assert reference, "scenario must produce records"
-    for executor in ("serial", "thread"):
-        engine = ParallelStreamEngine(ParallelConfig(executor=executor, batch_size=512))
-        first = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
-        assert first == reference, f"{executor}: cold engine pass diverged"
-        again = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
-        assert again == reference, f"{executor}: cached engine pass diverged"
+    for workers in (1, 2):
+        with ParallelStreamEngine(ParallelConfig(max_workers=workers, batch_size=512)) as engine:
+            mrt_parser.clear_index_cache()
+            first = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
+            assert first == reference, f"{workers} worker(s): cold engine pass diverged"
+            again = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
+            assert again == reference, f"{workers} worker(s): repeated engine pass diverged"
+            assert engine.fallback_files == 0
 
 
-def test_parallel_engine_beats_sequential_sorter(benchmark, event_archive, event_scenario):
+def test_parallel_engine_cold_pass(benchmark, event_archive, event_scenario):
+    """A cold in-process engine pass, timed next to the cold sequential sorter."""
     specs = _all_specs(event_archive, event_scenario)
-    # The thread executor keeps the in-process record cache hot between
-    # rounds, so the measurement is stable across machines; the process
-    # executor trades per-round pickling for multi-core decode and only pays
-    # off on long-lived engines with many cores.
-    engine = ParallelStreamEngine(ParallelConfig(executor="thread", batch_size=2048))
+    engine = ParallelStreamEngine(ParallelConfig(max_workers=1, batch_size=2048))
 
-    # Cold pass of each path, from an empty parser cache.
     mrt_parser.clear_index_cache()
     start = time.perf_counter()
     sequential_count = sum(1 for _ in SortedRecordMerger(specs))
     sequential_cold = time.perf_counter() - start
 
-    # Steady-state sequential: header index warm, bodies still re-decoded.
-    sequential_seconds = min(
-        _timed(lambda: sum(1 for _ in SortedRecordMerger(specs))) for _ in range(3)
-    )
-
-    mrt_parser.clear_index_cache()
-    start = time.perf_counter()
-    parallel_count = sum(len(batch) for batch in engine.iter_batches(specs))
-    parallel_cold = time.perf_counter() - start
-
-    def parallel_read():
+    def engine_read():
         return sum(len(batch) for batch in engine.iter_batches(specs))
 
-    assert benchmark.pedantic(parallel_read, rounds=3, iterations=1) == sequential_count
-    assert parallel_count == sequential_count
+    counts = benchmark.pedantic(
+        engine_read, setup=mrt_parser.clear_index_cache, rounds=3, iterations=1
+    )
+    assert counts == sequential_count
 
-    parallel_seconds = benchmark.stats.stats.min
-    speedup = sequential_seconds / parallel_seconds if parallel_seconds > 0 else float("inf")
     benchmark.extra_info["records"] = sequential_count
     benchmark.extra_info["sequential_cold_seconds"] = round(sequential_cold, 4)
-    benchmark.extra_info["parallel_cold_seconds"] = round(parallel_cold, 4)
-    benchmark.extra_info["sequential_seconds"] = round(sequential_seconds, 4)
-    benchmark.extra_info["parallel_seconds"] = round(parallel_seconds, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["fallback_files"] = engine.fallback_files
-
-    # The batched path must beat the sequential sorter in steady state
-    # (min-of-3 vs min-of-3 keeps this robust to scheduler noise), and its
-    # cold pass must not regress it catastrophically either (generous margin
-    # for shared CI runners).
-    assert parallel_seconds < sequential_seconds
-    assert parallel_cold < sequential_cold * 3.0
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    benchmark.extra_info["engine_cold_seconds"] = round(benchmark.stats.stats.min, 4)

@@ -552,58 +552,10 @@ for _name, _attr_type in (
 del _name, _attr_type
 
 
-# ---------------------------------------------------------------------------
-# The global lazy-decode switch and the decode entry point
-# ---------------------------------------------------------------------------
+def decode_attributes(data, pool=None) -> PathAttributes:
+    """Decode an attribute TLV block into a :class:`LazyPathAttributes`.
 
-_lazy_decode = True
-
-
-def lazy_decode_enabled() -> bool:
-    return _lazy_decode
-
-
-def set_lazy_decode(enabled: bool) -> bool:
-    """Globally enable/disable lazy attribute decoding; returns the previous
-    setting (so callers can restore it)."""
-    global _lazy_decode
-    previous = _lazy_decode
-    _lazy_decode = bool(enabled)
-    return previous
-
-
-def resolve_lazy(lazy: Optional[bool] = None) -> bool:
-    """Resolve a per-call ``lazy=`` knob against the global switch."""
-    return _lazy_decode if lazy is None else bool(lazy)
-
-
-class lazy_decoding:
-    """Context manager scoping the global lazy-decode switch::
-
-        with lazy_decoding(False):
-            update = decode_update(raw)   # fully-materialised attributes
+    ``pool`` interns values as they materialise.  Structural corruption
+    raises here, with the exception classes of :meth:`PathAttributes.decode`.
     """
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._previous: Optional[bool] = None
-
-    def __enter__(self) -> "lazy_decoding":
-        self._previous = set_lazy_decode(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._previous is not None:
-            set_lazy_decode(self._previous)
-
-
-def decode_attributes(data, lazy: Optional[bool] = None, pool=None) -> PathAttributes:
-    """Decode an attribute TLV block, lazily or eagerly.
-
-    ``lazy=None`` follows the global switch; ``pool`` (lazy mode only)
-    interns values as they materialise.  Either way corruption raises here,
-    with identical exception classes.
-    """
-    if resolve_lazy(lazy):
-        return LazyPathAttributes(data, pool)
-    return PathAttributes.decode(data)
+    return LazyPathAttributes(data, pool)

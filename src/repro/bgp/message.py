@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List
 
-from typing import Optional
-
 from repro.bgp.attributes import PathAttributes, decode_attributes
 from repro.bgp.prefix import Prefix
 
@@ -167,7 +165,7 @@ def encode_update(update: BGPUpdate) -> bytes:
     return update.encode()
 
 
-def decode_update(data: bytes, lazy: Optional[bool] = None, pool=None) -> BGPUpdate:
+def decode_update(data: bytes, pool=None) -> BGPUpdate:
     """Decode a complete BGP UPDATE message (with marker header).
 
     Raises :class:`BGPDecodeError` on any structural problem; the MRT layer
@@ -175,19 +173,19 @@ def decode_update(data: bytes, lazy: Optional[bool] = None, pool=None) -> BGPUpd
     libBGPdump in the paper signals corrupted reads to libBGPStream.
 
     ``data`` may be a ``memoryview`` (the zero-copy readers pass views of
-    the dump/frame buffer straight through).  ``lazy=None`` follows the
-    global lazy-decode switch; lazy mode records zero-copy slices of the
-    attribute block and defers value construction to first read, while
-    structural corruption still raises here, identically to eager mode.
+    the dump/frame buffer straight through).  The attribute block is kept
+    as zero-copy slices and value construction is deferred to first read
+    (``pool`` interns values as they materialise); structural corruption
+    still raises here.
     """
     body = _decode_header(data, MessageType.UPDATE)
     try:
-        return _decode_update_body(body, lazy=lazy, pool=pool)
+        return _decode_update_body(body, pool=pool)
     except (ValueError, struct.error) as exc:
         raise BGPDecodeError(str(exc)) from exc
 
 
-def _decode_update_body(body: bytes, lazy: Optional[bool] = None, pool=None) -> BGPUpdate:
+def _decode_update_body(body: bytes, pool=None) -> BGPUpdate:
     if len(body) < 4:
         raise BGPDecodeError("UPDATE body too short")
     (withdrawn_len,) = struct.unpack_from("!H", body, 0)
@@ -206,7 +204,7 @@ def _decode_update_body(body: bytes, lazy: Optional[bool] = None, pool=None) -> 
     if attr_end > len(body):
         raise BGPDecodeError("path attributes overrun message")
     attributes = (
-        decode_attributes(body[offset:attr_end], lazy=lazy, pool=pool)
+        decode_attributes(body[offset:attr_end], pool=pool)
         if attr_len
         else PathAttributes()
     )

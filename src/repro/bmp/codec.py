@@ -43,12 +43,11 @@ def encode_message(message: BMPMessage) -> bytes:
     return message.encode()
 
 
-def decode_message(data: bytes, lazy: Optional[bool] = None) -> BMPMessage:
+def decode_message(data: bytes) -> BMPMessage:
     """Decode exactly one BMP message occupying the whole buffer.
 
     Never raises: a structural problem comes back as a message with a
-    :class:`CorruptBMPMessage` body.  ``lazy`` forwards the lazy-decode
-    knob to the body codec (``None`` follows the global switch).
+    :class:`CorruptBMPMessage` body.
     """
     if len(data) < COMMON_HEADER_LEN:
         return _corrupt("message shorter than BMP common header", bytes(data))
@@ -63,7 +62,7 @@ def decode_message(data: bytes, lazy: Optional[bool] = None) -> BMPMessage:
         msg_type = BMPMessageType(raw_type)
     except ValueError:
         return _corrupt(f"unknown BMP message type {raw_type}", bytes(data))
-    body = decode_message_body(msg_type, data[COMMON_HEADER_LEN:], lazy=lazy)
+    body = decode_message_body(msg_type, data[COMMON_HEADER_LEN:])
     return BMPMessage(msg_type, body, version=version)
 
 
@@ -76,16 +75,13 @@ class BMPStreamParser:
     message and ignores everything after (resynchronising inside a broken
     byte stream would risk fabricating records).
 
-    ``lazy`` forwards the lazy-decode knob to the Route Monitoring body
-    codec (``None`` follows the global switch).  Each complete frame is
-    snapshotted out of the mutable accumulation buffer before decoding, so
-    lazy attribute views reference immutable bytes — a self-contained
-    buffer that skips the accumulation step entirely goes through
-    :func:`scan_buffer`, which is fully zero-copy.
+    Each complete frame is snapshotted out of the mutable accumulation
+    buffer before decoding, so lazy attribute views reference immutable
+    bytes — a self-contained buffer that skips the accumulation step
+    entirely goes through :func:`scan_buffer`, which is fully zero-copy.
     """
 
-    def __init__(self, lazy: Optional[bool] = None) -> None:
-        self.lazy = lazy
+    def __init__(self) -> None:
         self._buffer = bytearray()
         self._dead = False
         #: Counters useful for monitoring a long-lived feed.
@@ -134,7 +130,7 @@ class BMPStreamParser:
                 frame_body = bytes(buffer[offset + COMMON_HEADER_LEN : offset + length])
                 try:
                     msg_type: Optional[BMPMessageType] = BMPMessageType(raw_type)
-                    body = decode_message_body(msg_type, frame_body, lazy=self.lazy)
+                    body = decode_message_body(msg_type, frame_body)
                 except ValueError:
                     msg_type = None
                     body = CorruptBMPMessage(
@@ -181,7 +177,7 @@ class BMPStreamParser:
             self.corrupt_messages += 1
 
 
-def scan_buffer(data: bytes, lazy: Optional[bool] = None) -> Iterator[BMPMessage]:
+def scan_buffer(data: bytes) -> Iterator[BMPMessage]:
     """Scan one complete buffer of back-to-back BMP messages.
 
     Yields every framed message (corrupt bodies signalled per message) and
@@ -192,8 +188,8 @@ def scan_buffer(data: bytes, lazy: Optional[bool] = None) -> Iterator[BMPMessage
     Unlike the incremental parser this scan is **zero-copy**: the buffer is
     walked through one :class:`memoryview` and each frame's body is handed
     to the codec as a view slice, so a Kafka poll's worth of back-to-back
-    frames decodes without per-frame byte copies (and, with ``lazy`` left
-    on, without constructing attribute values the consumer never reads).
+    frames decodes without per-frame byte copies (and without constructing
+    attribute values the consumer never reads).
     The buffer must therefore be immutable for the lifetime of the decoded
     messages — Kafka message values and file contents are.
     """
@@ -218,7 +214,7 @@ def scan_buffer(data: bytes, lazy: Optional[bool] = None) -> Iterator[BMPMessage
             frame_body = view[offset + COMMON_HEADER_LEN : offset + length]
             try:
                 msg_type: Optional[BMPMessageType] = BMPMessageType(raw_type)
-                body = decode_message_body(msg_type, frame_body, lazy=lazy)
+                body = decode_message_body(msg_type, frame_body)
             except ValueError:
                 msg_type = None
                 body = CorruptBMPMessage(
@@ -237,9 +233,9 @@ def scan_buffer(data: bytes, lazy: Optional[bool] = None) -> Iterator[BMPMessage
             counters.bytes_viewed += offset
 
 
-def scan_messages(data: bytes, lazy: Optional[bool] = None) -> List[BMPMessage]:
+def scan_messages(data: bytes) -> List[BMPMessage]:
     """Like :func:`scan_buffer` but materialised into a list."""
-    return list(scan_buffer(data, lazy=lazy))
+    return list(scan_buffer(data))
 
 
 def _corrupt(reason: str, raw: bytes = b"") -> BMPMessage:

@@ -184,11 +184,9 @@ class RouteMonitoringMessage:
         return self.peer.encode() + self.update.encode()
 
     @classmethod
-    def decode_body(
-        cls, data: bytes, lazy: Optional[bool] = None
-    ) -> "RouteMonitoringMessage":
+    def decode_body(cls, data: bytes) -> "RouteMonitoringMessage":
         peer = BMPPeerHeader.decode(data)
-        update = decode_update(data[PER_PEER_HEADER_LEN:], lazy=lazy)
+        update = decode_update(data[PER_PEER_HEADER_LEN:])
         return cls(peer, update)
 
 
@@ -434,9 +432,7 @@ class BMPMessage:
         return cls(BMPMessageType.TERMINATION, TerminationMessage(tlvs))
 
 
-def decode_message_body(
-    msg_type: BMPMessageType, body: bytes, lazy: Optional[bool] = None
-) -> BMPBody:
+def decode_message_body(msg_type: BMPMessageType, body: bytes) -> BMPBody:
     """Decode the body bytes of one message according to its type.
 
     Returns a :class:`CorruptBMPMessage` (never raises) when the body cannot
@@ -444,15 +440,12 @@ def decode_message_body(
     same discipline as :func:`repro.mrt.records.decode_record_body`.
 
     ``body`` may be a ``memoryview`` slice of the frame buffer (the
-    zero-copy scan passes one); ``lazy`` forwards the lazy-decode knob to
-    the Route Monitoring update codec.
+    zero-copy scan passes one).
     """
     body_cls = _BODY_CLASSES.get(msg_type)
     if body_cls is None:
         return CorruptBMPMessage(f"unsupported BMP message type {msg_type}", bytes(body))
     try:
-        if body_cls is RouteMonitoringMessage:
-            return RouteMonitoringMessage.decode_body(body, lazy=lazy)
         return body_cls.decode_body(body)
     except (ValueError, struct.error, IndexError, BGPDecodeError) as exc:
         return CorruptBMPMessage(f"decode error: {exc}", bytes(body))

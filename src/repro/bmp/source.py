@@ -117,11 +117,9 @@ class BMPKafkaDataSource:
     frame that does not decode is returned as a corrupt message so the
     stream layer can signal it, exactly like a corrupted dump-file read.
 
-    Frames are scanned zero-copy out of each Kafka value and, by default,
-    Route Monitoring attribute blocks decode lazily (the value buffer is
-    immutable, so deferred views are safe).  ``eager=True`` forces full
-    decode at poll time; ``eager=None`` follows the process-wide
-    lazy-decode switch.
+    Frames are scanned zero-copy out of each Kafka value and Route
+    Monitoring attribute blocks decode lazily (the value buffer is
+    immutable, so deferred views are safe).
     """
 
     def __init__(
@@ -129,9 +127,7 @@ class BMPKafkaDataSource:
         broker: MessageBroker,
         topics: Optional[Sequence[str]] = None,
         group: str = DEFAULT_CONSUMER_GROUP,
-        eager: Optional[bool] = None,
     ) -> None:
-        self.eager = eager
         self.topics = list(topics) if topics else [DEFAULT_BMP_TOPIC]
         for topic in self.topics:
             broker.create_topic(topic)
@@ -154,10 +150,6 @@ class BMPKafkaDataSource:
         #: Later polls of the same window skip them without re-delivering.
         self._straddled_heads: set = set()
         self._window_until_ts: Optional[float] = None
-
-    @property
-    def _lazy(self) -> Optional[bool]:
-        return None if self.eager is None else not self.eager
 
     def poll(
         self, max_messages: Optional[int] = None, until_ts: Optional[float] = None
@@ -251,7 +243,7 @@ class BMPKafkaDataSource:
             partition_key = (kafka_message.topic, kafka_message.partition)
             if partition_key in closed:
                 continue
-            decoded = list(scan_buffer(kafka_message.value, lazy=self._lazy))
+            decoded = list(scan_buffer(kafka_message.value))
             # Compare whole seconds, the resolution records carry: a frame
             # at until_ts + microseconds belongs to *this* window (its
             # record.time equals until_ts), so deferring it would strand it
@@ -300,7 +292,7 @@ class BMPKafkaDataSource:
         self, pairs: List[Tuple[str, BMPMessage]], kafka_message: Message
     ) -> None:
         router = kafka_message.key or ""
-        for message in scan_buffer(kafka_message.value, lazy=self._lazy):
+        for message in scan_buffer(kafka_message.value):
             self._count_frame(message)
             pairs.append((router, message))
 

@@ -24,28 +24,46 @@ equivalent end-to-end:
   events over a time window, and populate an archive with genuine MRT dumps.
 """
 
-from repro.collectors.topology import (
-    ASNode,
-    ASRelationship,
-    ASRole,
-    ASTopology,
-    TopologyConfig,
-    generate_topology,
-)
-from repro.collectors.routing import Route, RouteComputer
-from repro.collectors.vantage_point import VantagePoint
-from repro.collectors.projects import PROJECTS, ProjectSpec, ROUTEVIEWS, RIPE_RIS
-from repro.collectors.events import (
-    EventTimeline,
-    OutageEvent,
-    PrefixFlapEvent,
-    PrefixHijackEvent,
-    RTBHEvent,
-    SessionResetEvent,
-)
-from repro.collectors.collector import Collector
+import importlib
+
 from repro.collectors.archive import Archive, DumpFile
-from repro.collectors.scenario import Scenario, ScenarioConfig, build_scenario
+from repro.collectors.projects import PROJECTS, ProjectSpec, ROUTEVIEWS, RIPE_RIS
+
+#: The simulator's names and their submodules, imported on first access
+#: (PEP 562): the read path (``bgpreader``, the gateway) reaches this
+#: package for the archive layout and project tables only, and must not pay
+#: for ``topology``'s networkx import.
+_SIMULATOR_MODULES = {
+    "ASNode": "topology",
+    "ASRelationship": "topology",
+    "ASRole": "topology",
+    "ASTopology": "topology",
+    "TopologyConfig": "topology",
+    "generate_topology": "topology",
+    "Route": "routing",
+    "RouteComputer": "routing",
+    "VantagePoint": "vantage_point",
+    "EventTimeline": "events",
+    "OutageEvent": "events",
+    "PrefixFlapEvent": "events",
+    "PrefixHijackEvent": "events",
+    "RTBHEvent": "events",
+    "SessionResetEvent": "events",
+    "Collector": "collector",
+    "Scenario": "scenario",
+    "ScenarioConfig": "scenario",
+    "build_scenario": "scenario",
+}
+
+
+def __getattr__(name: str):
+    module = _SIMULATOR_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ASNode",

@@ -310,7 +310,6 @@ class LiveDataInterface(DataInterface):
         project: Optional[str] = None,
         track_state: Optional[bool] = None,
         converter: Optional["BMPRecordConverter"] = None,
-        eager: Optional[bool] = None,
         retry_policy: Optional["RetryPolicy"] = None,
         circuit_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
@@ -323,15 +322,10 @@ class LiveDataInterface(DataInterface):
             if broker is None:
                 raise ValueError("LiveDataInterface needs a source or a message broker")
             source = BMPKafkaDataSource(
-                broker, topics=topics, group=group or DEFAULT_CONSUMER_GROUP, eager=eager
+                broker, topics=topics, group=group or DEFAULT_CONSUMER_GROUP
             )
         elif broker is not None or topics is not None or group is not None:
             raise ValueError("pass either a ready source or broker/topics/group, not both")
-        elif eager is not None:
-            raise ValueError(
-                "pass either a ready source or eager=, not both (configure "
-                "eager on the source instead)"
-            )
         self.source = source
         if converter is not None:
             if project is not None or track_state is not None:

@@ -7,8 +7,9 @@ the two — every heap pop resumes a parser generator.  This engine decouples
 them:
 
 1. each sorter subset's files are parsed **concurrently** in a
-   :mod:`concurrent.futures` worker pool (processes for the CPU-bound MRT
-   decode when multiple cores are available, threads as a fallback);
+   :class:`~concurrent.futures.ProcessPoolExecutor` (the MRT decode is
+   CPU-bound, so threads gain nothing under the GIL; with one worker the
+   files are parsed in-process and no pool is created);
 2. the pre-parsed per-file record lists are multi-way merged with the same
    :func:`~repro.core.sorter.merge_record_iterators` the sequential path
    uses — so both paths emit **identical record sequences**; and
@@ -27,7 +28,7 @@ records.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -48,22 +49,16 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
 ]
 
+#: How many subsets ahead of the one being delivered to keep parsing.
+PREFETCH_SUBSETS = 2
+
 
 def read_dump_file(
     spec: DumpFileSpec,
-    cache_records: bool = True,
     intern: Optional[bool] = None,
-    lazy: Optional[bool] = None,
     segment_cache=None,
 ) -> List[BGPStreamRecord]:
     """Parse one dump file into a record list (the worker-pool task).
-
-    By default workers ask the parser to cache the decoded records: the
-    engine materialises whole files anyway, so an unchanged file re-read by
-    a later stream (overlapping windows, repeated analyses, benchmark
-    rounds) costs a merge instead of a decode.  Note process-pool workers
-    populate the cache in *their* process; the re-read win applies to
-    thread/serial executors and to any in-process read that follows.
 
     ``intern`` forwards the parse-time flyweight-interning knob
     (:mod:`repro.core.intern`).  Each process-pool worker interns into its
@@ -71,85 +66,47 @@ def read_dump_file(
     records back preserves the object sharing *within* each file's list, and
     the consumer-side elem pipeline re-canonicalises across files.
 
-    ``lazy`` forwards the lazy-decode knob: lazy records returned from
-    *thread* workers carry zero-copy attribute views into the dump buffer;
-    process-pool workers materialise on pickle, so the deferral win there is
-    bounded to the worker side.
+    Records parsed in-process carry zero-copy attribute views into the dump
+    buffer; process-pool workers materialise on pickle, so the deferral win
+    there is bounded to the worker side.
 
     ``segment_cache`` is an optional persistent decoded-segment cache
     (:class:`repro.broker.segments.SegmentCache`); it pickles by
     configuration, so process-pool workers reopen the same on-disk cache
     and a hit skips the MRT decode entirely.
     """
-    return list(
-        DumpFileReader(
-            spec,
-            cache_records=cache_records,
-            intern=intern,
-            lazy=lazy,
-            segment_cache=segment_cache,
-        )
-    )
+    return list(DumpFileReader(spec, intern=intern, segment_cache=segment_cache))
 
 
 @dataclass(frozen=True)
 class ParallelConfig:
     """Tuning knobs for the parallel batched engine.
 
-    ``executor`` selects the worker pool:
-
-    * ``"auto"`` (default) — processes when the machine has more than one
-      CPU, threads otherwise (threads still overlap file I/O and avoid the
-      fork/pickle overhead that a single core cannot amortise);
-    * ``"process"`` / ``"thread"`` — force one kind;
-    * ``"serial"`` — no pool at all: files are parsed in-process, but the
-      stream is still delivered through the batched merge.
+    ``max_workers`` (default: the CPU count) sizes the process pool.  One
+    worker means no pool at all: files are parsed in-process, but the
+    stream is still delivered through the batched merge.
     """
 
     max_workers: Optional[int] = None
-    executor: str = "auto"
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: How many subsets ahead of the one being delivered to keep parsing.
-    prefetch_subsets: int = 2
-    #: Keep decoded records in the parser's per-file cache so unchanged
-    #: files re-read later skip decoding.  The cache is bounded by record
-    #: count, not bytes — disable for streams over very large RIB dumps
-    #: where retaining decoded records is unwanted.
-    cache_records: bool = True
     #: Parse-time flyweight interning in the workers (``None`` follows each
     #: worker process's global switch; ``bgpreader --no-intern`` forces
     #: ``False`` so process-pool workers skip dedup too).
     intern: Optional[bool] = None
-    #: Lazy attribute decoding in the workers (``None`` follows each worker
-    #: process's global switch; ``bgpreader --eager-decode`` forces
-    #: ``False``).  Process-pool workers materialise lazy records when
-    #: pickling them back, so the end-to-end deferral win applies to
-    #: thread/serial executors.
-    lazy: Optional[bool] = None
     #: Optional persistent decoded-segment cache
-    #: (:class:`repro.broker.segments.SegmentCache`).  Unlike
-    #: ``cache_records`` this survives the process: warm replays of a window
-    #: unpickle decoded segments instead of re-decoding MRT, in workers and
-    #: fallback paths alike.
+    #: (:class:`repro.broker.segments.SegmentCache`): warm replays of a
+    #: window unpickle decoded segments instead of re-decoding MRT, in
+    #: workers and fallback paths alike.
     segment_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.executor not in ("auto", "process", "thread", "serial"):
-            raise ValueError(f"unknown executor kind: {self.executor!r}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.prefetch_subsets < 0:
-            raise ValueError("prefetch_subsets must be >= 0")
 
     def resolved_workers(self) -> int:
         if self.max_workers is not None:
             return max(1, self.max_workers)
         return max(1, os.cpu_count() or 1)
-
-    def resolved_executor(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        return "process" if (os.cpu_count() or 1) > 1 else "thread"
 
 
 class ParallelStreamEngine:
@@ -166,9 +123,8 @@ class ParallelStreamEngine:
         self.config = config or ParallelConfig()
         #: Files parsed in-process because the pool failed (introspection).
         self.fallback_files = 0
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_created = False
-        self._pool_is_process = False
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent; the engine stays usable)."""
@@ -214,18 +170,12 @@ class ParallelStreamEngine:
         if executor is None:
             for subset in subsets:
                 yield [
-                    read_dump_file(
-                        spec,
-                        self.config.cache_records,
-                        self.config.intern,
-                        self.config.lazy,
-                        self.config.segment_cache,
-                    )
+                    read_dump_file(spec, self.config.intern, self.config.segment_cache)
                     for spec in subset
                 ]
             return
         pending: List[List[Future]] = []
-        ahead = self.config.prefetch_subsets + 1
+        ahead = PREFETCH_SUBSETS + 1
         for submitted in range(min(ahead, len(subsets))):
             pending.append(self._submit_subset(executor, subsets[submitted]))
         for current in range(len(subsets)):
@@ -238,22 +188,15 @@ class ParallelStreamEngine:
                 for future, spec in zip(futures, subsets[current])
             ]
 
-    def _submit_subset(self, executor: Executor, subset: Sequence[DumpFileSpec]) -> List[Future]:
-        # Record-caching inside process-pool workers is pure overhead: the
-        # cache lives in the worker's memory and dies with the pool, so no
-        # later read can hit it.  Threads share this process's cache.
-        cache = self.config.cache_records and not self._pool_is_process
+    def _submit_subset(
+        self, executor: ProcessPoolExecutor, subset: Sequence[DumpFileSpec]
+    ) -> List[Future]:
         futures: List[Future] = []
         for spec in subset:
             try:
                 futures.append(
                     executor.submit(
-                        read_dump_file,
-                        spec,
-                        cache,
-                        self.config.intern,
-                        self.config.lazy,
-                        self.config.segment_cache,
+                        read_dump_file, spec, self.config.intern, self.config.segment_cache
                     )
                 )
             except RuntimeError:
@@ -271,33 +214,17 @@ class ParallelStreamEngine:
             # Broken pool, unpicklable payload, or a worker killed mid-task:
             # parse the file in the delivering process instead.
             self.fallback_files += 1
-            return read_dump_file(
-                spec,
-                self.config.cache_records,
-                self.config.intern,
-                self.config.lazy,
-                self.config.segment_cache,
-            )
+            return read_dump_file(spec, self.config.intern, self.config.segment_cache)
 
-    def _ensure_executor(self) -> Optional[Executor]:
+    def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
+        """The process pool, or None to parse in-process (one worker, or a
+        platform where the pool cannot be created)."""
         if not self._executor_created:
-            self._executor = self._make_executor()
             self._executor_created = True
+            workers = self.config.resolved_workers()
+            if workers > 1:
+                try:
+                    self._executor = ProcessPoolExecutor(max_workers=workers)
+                except (OSError, ValueError, ImportError):
+                    pass
         return self._executor
-
-    def _make_executor(self) -> Optional[Executor]:
-        kind = self.config.resolved_executor()
-        if kind == "serial":
-            return None
-        workers = self.config.resolved_workers()
-        if kind == "process":
-            try:
-                pool: Executor = ProcessPoolExecutor(max_workers=workers)
-                self._pool_is_process = True
-                return pool
-            except (OSError, ValueError, ImportError):
-                kind = "thread"
-        self._pool_is_process = False
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="bgpstream-parse"
-        )

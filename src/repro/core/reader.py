@@ -141,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk budget of --broker-cache in bytes (least-recently-"
              "used segments are evicted beyond it; default: 512 MiB)",
     )
-    engine.add_argument(
-        "--eager-decode", action="store_true",
-        help="decode every path attribute at parse time instead of the "
-             "default lazy zero-copy tier (which defers attribute "
-             "construction until a value is actually read)",
-    )
 
     output = parser.add_argument_group("output")
     output.add_argument("-r", "--show-records", action="store_true",
@@ -199,13 +193,11 @@ def build_stream(args: argparse.Namespace) -> BGPStream:
             parallel = ParallelConfig(**options)
         except ValueError as exc:
             raise SystemExit(f"bgpreader: error: {exc}")
-    eager = True if getattr(args, "eager_decode", False) else None
     segment_cache = _build_segment_cache(args)
     stream = BGPStream(
         data_interface=interface,
         parallel=parallel,
         interning=interning,
-        eager=eager,
         segment_cache=segment_cache,
     )
     for project in args.project:

@@ -45,12 +45,8 @@ class DumpFileReader:
     * The first and last records of a readable dump are marked with the
       START / END dump positions so users can collate whole RIB dumps.
 
-    ``cache_records=True`` asks the MRT parser to keep the decoded records
-    of a cleanly-read dump in its per-file cache, so re-reads of the
-    unchanged file skip decoding (the parallel engine's workers set this).
     ``intern`` forwards the parse-time flyweight-interning knob to the MRT
-    reader and ``lazy`` the lazy-decode knob (``None`` follows the
-    respective process-wide switch).
+    reader (``None`` follows the process-wide switch).
 
     ``segment_cache`` is an optional persistent decoded-segment cache
     (:class:`repro.broker.segments.SegmentCache`): a hit replays the file's
@@ -62,15 +58,11 @@ class DumpFileReader:
     def __init__(
         self,
         spec: DumpFileSpec,
-        cache_records: bool = False,
         intern: Optional[bool] = None,
-        lazy: Optional[bool] = None,
         segment_cache=None,
     ) -> None:
         self.spec = spec
-        self.cache_records = cache_records
         self.intern = intern
-        self.lazy = lazy
         self.segment_cache = segment_cache
 
     def __iter__(self) -> Iterator[BGPStreamRecord]:
@@ -122,12 +114,7 @@ class DumpFileReader:
     def _read(self) -> Iterator[BGPStreamRecord]:
         spec = self.spec
         try:
-            reader = MRTDumpReader(
-                spec.path,
-                cache_records=self.cache_records,
-                intern=self.intern,
-                lazy=self.lazy,
-            )
+            reader = MRTDumpReader(spec.path, intern=self.intern)
             reader.open()
         except MRTParseError:
             yield BGPStreamRecord(
@@ -189,22 +176,20 @@ class DumpFileReader:
 class SortedRecordMerger:
     """Group a dump-file set by overlapping intervals and merge each group.
 
-    ``intern`` forwards the parse-time flyweight-interning knob and
-    ``lazy`` the lazy-decode knob to every :class:`DumpFileReader` it opens
-    (``None`` follows the respective process-wide switch);
-    ``segment_cache`` forwards an optional persistent decoded-segment cache.
+    ``intern`` forwards the parse-time flyweight-interning knob to every
+    :class:`DumpFileReader` it opens (``None`` follows the process-wide
+    switch); ``segment_cache`` forwards an optional persistent
+    decoded-segment cache.
     """
 
     def __init__(
         self,
         specs: Sequence[DumpFileSpec],
         intern: Optional[bool] = None,
-        lazy: Optional[bool] = None,
         segment_cache=None,
     ) -> None:
         self.specs = list(specs)
         self.intern = intern
-        self.lazy = lazy
         self.segment_cache = segment_cache
 
     # -- grouping ------------------------------------------------------------
@@ -244,22 +229,12 @@ class SortedRecordMerger:
         """Multi-way merge of the (already time-ordered) files of one subset."""
         if len(subset) == 1:
             yield from DumpFileReader(
-                subset[0],
-                intern=self.intern,
-                lazy=self.lazy,
-                segment_cache=self.segment_cache,
+                subset[0], intern=self.intern, segment_cache=self.segment_cache
             )
             return
         yield from merge_record_iterators(
             [
-                iter(
-                    DumpFileReader(
-                        spec,
-                        intern=self.intern,
-                        lazy=self.lazy,
-                        segment_cache=self.segment_cache,
-                    )
-                )
+                iter(DumpFileReader(spec, intern=self.intern, segment_cache=self.segment_cache))
                 for spec in subset
             ]
         )

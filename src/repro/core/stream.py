@@ -41,7 +41,7 @@ Three idioms are supported:
 
   ``records_batched()`` works on any stream (without ``parallel`` it batches
   the sequential sorted merge); with a :class:`ParallelConfig` the dump
-  files of each overlapping subset are parsed concurrently in a worker
+  files of each overlapping subset are parsed concurrently in a process
   pool.  Both modes emit exactly the same record sequence as the
   sequential ``records()`` path, which remains the byte-identical
   reference.
@@ -60,6 +60,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import _metrics
+from repro.bgp.attributes import LazyPathAttributes
 from repro.broker.broker import Broker
 from repro.core.elem import BGPElem
 from repro.core.filters import FilterSet
@@ -72,6 +73,7 @@ from repro.core.interfaces import (
 )
 from repro.core.record import BGPStreamRecord, RecordStatus
 from repro.core.sorter import DEFAULT_BATCH_SIZE, SortedRecordMerger, batch_records
+from repro.mrt.records import BGP4MPMessage, RIBPrefixRecord
 
 if TYPE_CHECKING:
     from repro.core.parallel import ParallelConfig
@@ -99,20 +101,11 @@ class BGPStream:
       switch (:func:`repro.core.intern.set_parse_interning`), which this
       knob never touches.
 
-    ``eager`` selects the attribute-decode tier for this stream's readers
-    (:mod:`repro.bgp.attributes`):
-
-    * ``None`` (default) — follow the process-wide lazy-decode switch
-      (lazy unless :func:`repro.bgp.attributes.set_lazy_decode` turned it
-      off): attribute blocks are recorded as zero-copy slices and decoded
-      on first read, so filtered-out elems never pay for values nobody
-      looks at;
-    * ``True`` — force full decode at parse time (``bgpreader
-      --eager-decode``); every elem field is materialised before delivery;
-    * ``False`` — force lazy decode regardless of the global switch.
-
-    Both tiers produce identical elem values, raise identical errors on
-    corrupt attributes, and honour the same intern pools.
+    Attribute blocks are always recorded as zero-copy slices and decoded on
+    first read (:mod:`repro.bgp.attributes`), so filtered-out elems never
+    pay for values nobody looks at.  ``eager=True`` materialises every
+    attribute set of a record just before the stream delivers it; elem
+    values, corruption signals and intern pools are identical either way.
     """
 
     def __init__(
@@ -139,11 +132,11 @@ class BGPStream:
         ``broker`` is the Broker shortcut: ``BGPStream(broker=broker)``
         wraps it in a :class:`~repro.core.interfaces.BrokerDataInterface`
         (``interface_options`` become its options — ``page_size``,
-        ``cursor``, poll bounds) **and defaults the stream to the parallel
-        batched engine**, so a multi-collector window replays at
-        parallel-engine speed out of the box.  Pass ``parallel=False`` to
-        force the sequential path, or a ready
-        :class:`~repro.core.parallel.ParallelConfig` to tune it.
+        ``cursor``, poll bounds); the stream is otherwise the one
+        ``data_interface=BrokerDataInterface(broker)`` builds.
+
+        ``parallel=True`` (or a :class:`~repro.core.parallel.ParallelConfig`
+        to tune it) opts in to the parallel batched engine.
 
         ``segment_cache`` (a :class:`repro.broker.segments.SegmentCache`)
         makes every reader this stream opens — sequential or parallel —
@@ -156,13 +149,7 @@ class BGPStream:
                 raise ValueError("pass either broker= or data_interface/live, not both")
             data_interface = BrokerDataInterface(broker, **(interface_options or {}))
             interface_options = None
-            if parallel is None:
-                from repro.core.parallel import ParallelConfig
-
-                parallel = ParallelConfig()
-        if parallel is False:
-            parallel = None
-        elif parallel is True:
+        if parallel is True:
             from repro.core.parallel import ParallelConfig
 
             parallel = ParallelConfig()
@@ -177,10 +164,7 @@ class BGPStream:
             if isinstance(live, LiveDataInterface):
                 data_interface = live
             else:
-                live_options = dict(live)
-                if eager is not None:
-                    live_options.setdefault("eager", eager)
-                data_interface = make_data_interface("kafka", **live_options)
+                data_interface = make_data_interface("kafka", **live)
         elif data_interface is not None:
             data_interface = make_data_interface(
                 data_interface, **(interface_options or {})
@@ -188,7 +172,7 @@ class BGPStream:
         elif interface_options:
             raise ValueError("interface_options require a data_interface name")
         self._interface = data_interface
-        self._parallel = parallel
+        self._parallel = parallel or None
         self._segment_cache = segment_cache
         self._eager = eager
         self._started = False
@@ -296,18 +280,6 @@ class BGPStream:
             return False
         return None
 
-    @property
-    def _parse_lazy(self) -> Optional[bool]:
-        """The lazy-decode knob for this stream's readers.
-
-        ``None`` (no ``eager=`` given) follows the process-wide switch;
-        an explicit ``eager=`` pins the tier for every reader this stream
-        opens, including parallel workers that do not pin their own.
-        """
-        if self._eager is None:
-            return None
-        return not self._eager
-
     def _generate_records(self) -> Iterator[BGPStreamRecord]:
         assert self._interface is not None
         if self.is_live:
@@ -323,7 +295,6 @@ class BGPStream:
                     SortedRecordMerger(
                         file_batch,
                         intern=self._parse_intern,
-                        lazy=self._parse_lazy,
                         segment_cache=self._segment_cache,
                     )
                 )
@@ -355,9 +326,6 @@ class BGPStream:
                 # The stream opted out of interning and the config does not
                 # pin its own choice: the workers inherit the opt-out.
                 config = replace(config, intern=self._parse_intern)
-            if config.lazy is None and self._parse_lazy is not None:
-                # Same inheritance for the stream's decode-tier choice.
-                config = replace(config, lazy=self._parse_lazy)
             if config.segment_cache is None and self._segment_cache is not None:
                 # The workers inherit the stream's persistent segment cache.
                 config = replace(config, segment_cache=self._segment_cache)
@@ -373,7 +341,6 @@ class BGPStream:
                         SortedRecordMerger(
                             file_batch,
                             intern=self._parse_intern,
-                            lazy=self._parse_lazy,
                             segment_cache=self._segment_cache,
                         )
                     )
@@ -386,12 +353,15 @@ class BGPStream:
 
     def _filtered(self, records: Iterator[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
         pool = self.intern_pool
+        eager = self._eager
         for record in records:
             self.records_read += 1
             if not self._record_passes(record):
                 self.records_filtered += 1
                 continue
             record.intern_pool = pool
+            if eager:
+                _materialise_attributes(record)
             yield record
 
     def _record_passes(self, record: BGPStreamRecord) -> bool:
@@ -468,3 +438,17 @@ class BGPStream:
 
     def __iter__(self) -> Iterator[BGPStreamRecord]:
         return self.records()
+
+
+def _materialise_attributes(record: BGPStreamRecord) -> None:
+    """Force-parse the deferred path attributes of every route in ``record``."""
+    body = record.mrt.body if record.mrt is not None else None
+    if isinstance(body, RIBPrefixRecord):
+        attribute_sets = [entry.attributes for entry in body.entries]
+    elif isinstance(body, BGP4MPMessage):
+        attribute_sets = [body.update.attributes]
+    else:
+        return
+    for attrs in attribute_sets:
+        if isinstance(attrs, LazyPathAttributes):
+            attrs.materialise_all()

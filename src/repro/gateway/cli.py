@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     engine = parser.add_argument_group("engine")
-    engine.add_argument("--eager-decode", action="store_true",
-                        help="decode every path attribute at parse time")
     engine.add_argument("--no-intern", action="store_true",
                         help="disable flyweight interning of parsed BGP values")
     engine.add_argument("--decode-stats", action="store_true",
@@ -135,11 +133,7 @@ def build_hub(args: argparse.Namespace) -> StreamHub:
             max_empty_polls=args.idle_polls,
             poll_interval=args.poll_interval,
         )
-        return BGPStream(
-            data_interface=interface,
-            interning=not args.no_intern,
-            eager=True if args.eager_decode else None,
-        )
+        return BGPStream(data_interface=interface, interning=not args.no_intern)
 
     return StreamHub(
         stream_factory=stream_factory,

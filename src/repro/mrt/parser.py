@@ -18,15 +18,11 @@ Three throughput features support the parallel stream engine
   zero per-record I/O.  A gzip stream that does not decompress cleanly falls
   back to the classic streaming scan over the same bytes, preserving
   corruption-signalling behaviour exactly; and
-* a per-file cache in two tiers, keyed by the file's ``(size, mtime_ns)``
-  signature: a **header index** (every record's offset and pre-decoded
-  header), stored after any clean bulk scan so re-reads skip header
-  re-decoding — and, opt-in via ``cache_records=True``, the fully **decoded
-  records** themselves, so re-reads of an unchanged dump skip decoding
-  entirely.  Any reader consults both tiers; ``cache_records`` only controls
-  whether a scan *stores* the decoded tier.  Cached records are shared
-  between readers: treat parsed records as immutable (every consumer in this
-  codebase does).
+* a per-file **header index** (every record's offset and pre-decoded
+  header), keyed by the file's ``(size, mtime_ns)`` signature and stored
+  after any clean bulk scan so re-reads skip header re-decoding.  Decoded
+  records are not kept in memory; reuse across runs is the persistent
+  :class:`repro.broker.segments.SegmentCache`'s job.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator, List, Optional, Tuple
 
 from repro import _profiling as profiling
@@ -71,7 +67,7 @@ class MRTParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Per-file cache: header index tier + decoded record tier
+# Per-file header index cache
 # ---------------------------------------------------------------------------
 
 
@@ -92,17 +88,11 @@ class DumpIndex:
 
     signature: Tuple[int, int]  # (st_size, st_mtime_ns) at scan time
     entries: List[IndexEntry]
-    #: Fully decoded records (the opt-in second tier); None = header tier only.
-    records: Optional[List[MRTRecord]] = field(default=None, repr=False)
 
 
 _CACHE_LOCK = threading.Lock()
 _INDEX_CACHE: "OrderedDict[str, DumpIndex]" = OrderedDict()
 _INDEX_CACHE_MAX = 512
-#: Total decoded records kept across all cached files; the oldest entries
-#: are demoted to the header tier when the budget is exceeded.
-_RECORD_CACHE_BUDGET = 2_000_000
-_record_budget_used = 0
 
 
 def file_signature(path: str) -> Optional[Tuple[int, int]]:
@@ -126,14 +116,11 @@ _file_signature = file_signature
 
 def cached_index(path: str) -> Optional[DumpIndex]:
     """The cached index for ``path``, if its signature is still valid."""
-    global _record_budget_used
     with _CACHE_LOCK:
         index = _INDEX_CACHE.get(path)
         if index is None:
             return None
         if index.signature != _file_signature(path):
-            if index.records is not None:
-                _record_budget_used -= len(index.records)
             del _INDEX_CACHE[path]
             return None
         _INDEX_CACHE.move_to_end(path)
@@ -141,38 +128,16 @@ def cached_index(path: str) -> Optional[DumpIndex]:
 
 
 def store_index(path: str, index: DumpIndex) -> None:
-    global _record_budget_used
-    if index.records is not None and len(index.records) > _RECORD_CACHE_BUDGET:
-        # A single file larger than the whole budget would defeat the cap;
-        # keep its header tier only.
-        index = DumpIndex(index.signature, index.entries, None)
     with _CACHE_LOCK:
-        previous = _INDEX_CACHE.get(path)
-        if previous is not None and previous.records is not None:
-            _record_budget_used -= len(previous.records)
         _INDEX_CACHE[path] = index
         _INDEX_CACHE.move_to_end(path)
-        if index.records is not None:
-            _record_budget_used += len(index.records)
         while len(_INDEX_CACHE) > _INDEX_CACHE_MAX:
-            _, evicted = _INDEX_CACHE.popitem(last=False)
-            if evicted.records is not None:
-                _record_budget_used -= len(evicted.records)
-        if _record_budget_used > _RECORD_CACHE_BUDGET:
-            # Demote oldest record-tier entries back to header-only.
-            for candidate in list(_INDEX_CACHE.values()):
-                if _record_budget_used <= _RECORD_CACHE_BUDGET:
-                    break
-                if candidate.records is not None and candidate is not index:
-                    _record_budget_used -= len(candidate.records)
-                    candidate.records = None
+            _INDEX_CACHE.popitem(last=False)
 
 
 def clear_index_cache() -> None:
-    global _record_budget_used
     with _CACHE_LOCK:
         _INDEX_CACHE.clear()
-        _record_budget_used = 0
 
 
 def index_cache_size() -> int:
@@ -192,37 +157,28 @@ class MRTDumpReader:
     header or body) yields one final record flagged as invalid and then
     stops, matching the "signal a corrupted read" extension of libBGPdump.
 
-    ``use_index=False`` disables the per-file cache in both directions (the
-    read neither consults nor populates it); ``cache_records=True``
-    additionally stores the decoded records of a cleanly-scanned dump so the
-    next read of the unchanged file skips decoding entirely.
+    ``use_index=False`` disables the header index in both directions (the
+    read neither consults nor populates it).
 
     ``intern`` controls parse-time flyweight interning of the decoded values
     (AS paths, community sets, prefixes, peer/address strings — see
     :mod:`repro.core.intern`): ``None`` follows the process-wide switch,
-    ``True`` / ``False`` force it for this reader.  ``lazy`` likewise
-    controls lazy attribute decoding (``None`` follows the global
-    lazy-decode switch); the bulk scan hands zero-copy ``memoryview``
-    slices of the dump buffer to the decode layer, so in lazy mode path
-    attributes are parsed only when an elem consumer actually reads them.
-    Records served from the decoded-record cache tier keep whatever
-    interning/laziness they were decoded with (lazy cached records pin
-    their dump buffer until their deferred attributes materialise).
+    ``True`` / ``False`` force it for this reader.  The bulk scan hands
+    zero-copy ``memoryview`` slices of the dump buffer to the decode layer,
+    so path attributes are parsed only when an elem consumer actually reads
+    them (records pin their dump buffer until their deferred attributes
+    materialise).
     """
 
     def __init__(
         self,
         path: str,
         use_index: bool = True,
-        cache_records: bool = False,
         intern: Optional[bool] = None,
-        lazy: Optional[bool] = None,
     ) -> None:
         self.path = path
         self.use_index = use_index
-        self.cache_records = cache_records
         self.intern = intern
-        self.lazy = lazy
         self._raw: Optional[IO[bytes]] = None
         self._handle: Optional[IO[bytes]] = None
         self._compressed = False
@@ -268,17 +224,7 @@ class MRTDumpReader:
             self.open()
         assert self._handle is not None
 
-        index: Optional[DumpIndex] = None
-        if self.use_index:
-            index = cached_index(self.path)
-            if index is not None:
-                # Snapshot: the budget enforcer may demote index.records to
-                # None concurrently; a local keeps this read consistent.
-                cached_records = index.records
-                if cached_records is not None:
-                    yield from cached_records
-                    return
-
+        index = cached_index(self.path) if self.use_index else None
         signature = _file_signature(self.path)
         if signature is not None and signature[0] <= BULK_SCAN_MAX:
             assert self._raw is not None
@@ -308,7 +254,7 @@ class MRTDumpReader:
     # for implausibly large files and corrupt gzip streams.
     def _iter_streaming(self, handle: IO[bytes]) -> Iterator[MRTRecord]:
         unpack = _HEADER_STRUCT.unpack
-        decode_body = make_body_decoder(self.intern, self.lazy)
+        decode_body = make_body_decoder(self.intern)
         counters = profiling.counters
         while True:
             try:
@@ -345,38 +291,30 @@ class MRTDumpReader:
             yield MRTRecord(header, body)
 
     # The bulk scan: the whole (decompressed) dump parsed from one buffer.
-    # A valid header index skips header decoding; a clean scan populates the
-    # cache — with the decoded records too when ``cache_records`` is set.
+    # A valid header index skips header decoding; a clean scan populates it.
     def _iter_buffer(
         self, data: bytes, signature: Tuple[int, int], index: Optional[DumpIndex]
     ) -> Iterator[MRTRecord]:
         # One memoryview over the whole buffer: every header peek, body
-        # extraction and (in lazy mode) deferred attribute slice below is a
-        # zero-copy view of this one allocation.
+        # extraction and deferred attribute slice below is a zero-copy view
+        # of this one allocation.
         view = memoryview(data)
-        decode_body = make_body_decoder(self.intern, self.lazy)
+        decode_body = make_body_decoder(self.intern)
         counters = profiling.counters
         if index is not None and self._buffer_matches_index(data, index):
-            records: Optional[List[MRTRecord]] = [] if self.cache_records else None
             for entry in index.entries:
                 header = MRTHeader(entry.timestamp, MRTType(entry.mrt_type), entry.subtype)
                 body = view[entry.offset : entry.offset + entry.body_length]
-                record = MRTRecord(header, decode_body(header, entry.subtype, body))
-                if records is not None:
-                    records.append(record)
-                yield record
+                yield MRTRecord(header, decode_body(header, entry.subtype, body))
             if counters is not None:
                 counters.records_scanned += len(index.entries)
                 counters.bytes_viewed += len(data)
-            if records is not None:
-                store_index(self.path, DumpIndex(signature, index.entries, records))
             return
 
         unpack_from = _HEADER_STRUCT.unpack_from
         size = len(data)
         offset = 0
         entries: List[IndexEntry] = []
-        records = [] if (self.cache_records and self.use_index) else None
         clean = True
         while offset < size:
             if offset + MRT_HEADER_LEN > size:
@@ -405,15 +343,13 @@ class MRTDumpReader:
             body_view = view[body_offset : body_offset + body_length]
             record = MRTRecord(header, decode_body(header, subtype, body_view))
             entries.append(IndexEntry(body_offset, timestamp, raw_type, subtype, body_length))
-            if records is not None:
-                records.append(record)
             yield record
             offset = body_offset + body_length
         if counters is not None:
             counters.records_scanned += len(entries)
             counters.bytes_viewed += offset
         if clean and self.use_index:
-            store_index(self.path, DumpIndex(signature, entries, records))
+            store_index(self.path, DumpIndex(signature, entries))
 
     @staticmethod
     def _buffer_matches_index(data: bytes, index: DumpIndex) -> bool:
@@ -441,14 +377,10 @@ def _decompress_bounded(blob: bytes, limit: int) -> Optional[bytes]:
 def read_dump(
     path: str,
     use_index: bool = True,
-    cache_records: bool = False,
     intern: Optional[bool] = None,
-    lazy: Optional[bool] = None,
 ) -> List[MRTRecord]:
     """Read an entire dump file into a list of records."""
-    with MRTDumpReader(
-        path, use_index=use_index, cache_records=cache_records, intern=intern, lazy=lazy
-    ) as reader:
+    with MRTDumpReader(path, use_index=use_index, intern=intern) as reader:
         return list(reader)
 
 

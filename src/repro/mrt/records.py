@@ -13,12 +13,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.bgp.attributes import (
-    LazyPathAttributes,
-    PathAttributes,
-    decode_attributes,
-    resolve_lazy,
-)
+from repro.bgp.attributes import LazyPathAttributes, PathAttributes, decode_attributes
 from repro.bgp.fsm import SessionState
 from repro.bgp.message import BGPUpdate, decode_update
 from repro.bgp.prefix import Prefix
@@ -156,12 +151,10 @@ class RIBEntry:
         )
 
     @classmethod
-    def decode(
-        cls, data: bytes, offset: int, lazy: Optional[bool] = None
-    ) -> Tuple["RIBEntry", int]:
+    def decode(cls, data: bytes, offset: int) -> Tuple["RIBEntry", int]:
         peer_index, originated, attr_len = struct.unpack_from("!HIH", data, offset)
         offset += 8
-        attrs = decode_attributes(data[offset : offset + attr_len], lazy=lazy)
+        attrs = decode_attributes(data[offset : offset + attr_len])
         return cls(peer_index, originated, attrs), offset + attr_len
 
 
@@ -188,16 +181,14 @@ class RIBPrefixRecord:
         return bytes(out)
 
     @classmethod
-    def decode_body(
-        cls, data: bytes, version: int, lazy: Optional[bool] = None
-    ) -> "RIBPrefixRecord":
+    def decode_body(cls, data: bytes, version: int) -> "RIBPrefixRecord":
         (sequence,) = struct.unpack_from("!I", data, 0)
         prefix, offset = Prefix.decode(data, 4, version=version)
         (entry_count,) = struct.unpack_from("!H", data, offset)
         offset += 2
         entries: List[RIBEntry] = []
         for _ in range(entry_count):
-            entry, offset = RIBEntry.decode(data, offset, lazy=lazy)
+            entry, offset = RIBEntry.decode(data, offset)
             entries.append(entry)
         return cls(sequence, prefix, entries)
 
@@ -230,7 +221,7 @@ class BGP4MPMessage:
         return bytes(out)
 
     @classmethod
-    def decode_body(cls, data: bytes, lazy: Optional[bool] = None) -> "BGP4MPMessage":
+    def decode_body(cls, data: bytes) -> "BGP4MPMessage":
         peer_asn, local_asn, _ifidx, afi = struct.unpack_from("!IIHH", data, 0)
         offset = 12
         addr_len = 16 if afi == AFI_IPV6 else 4
@@ -238,7 +229,7 @@ class BGP4MPMessage:
         offset += addr_len
         local_address = address_str(bytes(data[offset : offset + addr_len]))
         offset += addr_len
-        update = decode_update(data[offset:], lazy=lazy)
+        update = decode_update(data[offset:])
         return cls(peer_asn, local_asn, peer_address, local_address, update)
 
 
@@ -356,7 +347,6 @@ def decode_record_body(
     subtype: int,
     body: bytes,
     intern: Optional[bool] = None,
-    lazy: Optional[bool] = None,
 ) -> MRTBody:
     """Decode the body bytes of a record according to its type and subtype.
 
@@ -372,26 +362,24 @@ def decode_record_body(
     follows the process-wide switch when ``None`` and can force the decision
     per call (the MRT reader and the parallel engine thread it through).
 
-    ``lazy`` (default: the global lazy-decode switch) defers path-attribute
-    value construction to first read; with interning on, only attributes
-    that actually materialise pay the pool lookup.  Callers decoding many
-    records should hoist the knob resolution with :func:`make_body_decoder`.
+    Path-attribute value construction is deferred to first read; with
+    interning on, only attributes that actually materialise pay the pool
+    lookup.  Callers decoding many records should hoist the knob resolution
+    with :func:`make_body_decoder`.
     """
-    return make_body_decoder(intern, lazy)(header, subtype, body)
+    return make_body_decoder(intern)(header, subtype, body)
 
 
-def make_body_decoder(intern: Optional[bool] = None, lazy: Optional[bool] = None):
+def make_body_decoder(intern: Optional[bool] = None):
     """Build a ``(header, subtype, body) -> MRTBody`` batch decoder.
 
-    Resolves the interning pool and the lazy switch **once** so a whole MRT
-    buffer / Kafka poll amortises the per-record knob lookups (the batch
-    fast path of the zero-copy tier).
+    Resolves the interning pool **once** so a whole MRT buffer amortises
+    the per-record knob lookup (the batch fast path of the zero-copy tier).
     """
     pool = _interning_pool(intern)
-    lazy_flag = resolve_lazy(lazy)
 
     def decode_body(header: MRTHeader, subtype: int, body: bytes) -> MRTBody:
-        decoded = _decode_record_body_raw(header, subtype, body, lazy_flag)
+        decoded = _decode_record_body_raw(header, subtype, body)
         if pool is not None and not isinstance(decoded, CorruptRecord):
             _intern_body(decoded, pool)
         return decoded
@@ -399,25 +387,23 @@ def make_body_decoder(intern: Optional[bool] = None, lazy: Optional[bool] = None
     return decode_body
 
 
-def _decode_record_body_raw(
-    header: MRTHeader, subtype: int, body: bytes, lazy: Optional[bool] = None
-) -> MRTBody:
+def _decode_record_body_raw(header: MRTHeader, subtype: int, body: bytes) -> MRTBody:
     try:
         if header.mrt_type == MRTType.TABLE_DUMP_V2:
             td_subtype = TableDumpV2Subtype(subtype)
             if td_subtype == TableDumpV2Subtype.PEER_INDEX_TABLE:
                 return PeerIndexTable.decode_body(body)
             if td_subtype == TableDumpV2Subtype.RIB_IPV4_UNICAST:
-                return RIBPrefixRecord.decode_body(body, version=4, lazy=lazy)
+                return RIBPrefixRecord.decode_body(body, version=4)
             if td_subtype == TableDumpV2Subtype.RIB_IPV6_UNICAST:
-                return RIBPrefixRecord.decode_body(body, version=6, lazy=lazy)
+                return RIBPrefixRecord.decode_body(body, version=6)
             return CorruptRecord(
                 f"unsupported TABLE_DUMP_V2 subtype {subtype}", bytes(body)
             )
         if header.mrt_type in (MRTType.BGP4MP, MRTType.BGP4MP_ET):
             bgp_subtype = BGP4MPSubtype(subtype)
             if bgp_subtype in (BGP4MPSubtype.MESSAGE, BGP4MPSubtype.MESSAGE_AS4):
-                return BGP4MPMessage.decode_body(body, lazy=lazy)
+                return BGP4MPMessage.decode_body(body)
             if bgp_subtype in (
                 BGP4MPSubtype.STATE_CHANGE,
                 BGP4MPSubtype.STATE_CHANGE_AS4,

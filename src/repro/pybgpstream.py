@@ -149,12 +149,6 @@ class BGPStream:
     BMP-over-Kafka feed (pass a ready
     :class:`~repro.core.interfaces.LiveDataInterface` or a dict of its
     options, e.g. ``live={"broker": message_broker}``).
-
-    ``eager`` selects the attribute-decode tier exactly as on
-    :class:`repro.core.stream.BGPStream`: ``None`` (default) follows the
-    process-wide lazy-decode switch, ``True`` forces full decode at parse
-    time, ``False`` forces the lazy zero-copy tier.  Both tiers hand back
-    identical ``elem.fields`` values.
     """
 
     def __init__(
@@ -164,7 +158,6 @@ class BGPStream:
         interning: object = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
-        eager: Optional[bool] = None,
     ) -> None:
         interface = data_interface
         if interface is None and live is None:
@@ -180,7 +173,6 @@ class BGPStream:
             interning=interning,
             live=live,
             interface_options=interface_options,
-            eager=eager,
         )
 
     def add_filter(self, name: str, value: str) -> None:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bgp.community import Community
@@ -247,3 +251,20 @@ class TestScenarioGeneration:
         assert [(t, vp.asn, kind) for t, vp, kind, _ in updates_a] == [
             (t, vp.asn, kind) for t, vp, kind, _ in updates_b
         ]
+
+
+@pytest.mark.parametrize("module", ["repro.core.reader", "repro.core.stream", "repro.gateway.cli"])
+def test_read_path_imports_do_not_load_the_simulator(module):
+    """The read path reaches ``repro.collectors`` for the archive layout only;
+    the simulator (and its networkx dependency) loads on first use."""
+    probe = (
+        f"import sys, {module}\n"
+        "loaded = [m for m in sys.modules if m == 'networkx' or m in "
+        "{'repro.collectors.' + n for n in "
+        "('topology', 'routing', 'scenario', 'events', 'collector')}]\n"
+        "assert not loaded, loaded\n"
+        "from repro.collectors import build_scenario\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)

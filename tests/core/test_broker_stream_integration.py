@@ -54,8 +54,11 @@ class TestPaginatedInterface:
 
 
 class TestBrokerShortcut:
-    def test_broker_kwarg_defaults_to_parallel(self, core_archive):
+    def test_broker_kwarg_defaults_to_sequential(self, core_archive):
+        """``broker=`` picks the source, not the engine: parallel stays opt-in."""
         stream = BGPStream(broker=Broker(archives=[core_archive]))
+        assert stream._parallel is None
+        stream = BGPStream(broker=Broker(archives=[core_archive]), parallel=True)
         assert stream._parallel is not None
 
     def test_parallel_false_forces_sequential(self, core_archive):
@@ -89,7 +92,6 @@ class TestSegmentCachedStream:
             stream = BGPStream(
                 broker=Broker(archives=[core_archive]),
                 segment_cache=cache,
-                parallel=False,
             )
             stream.add_interval_filter(core_scenario.start, core_scenario.end)
             return _signature(stream)

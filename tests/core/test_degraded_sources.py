@@ -26,11 +26,12 @@ from repro.core.stream import BGPStream
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import corrupt_file, write_updates_dump
 
-#: The stream modes every assertion runs under.
+#: The stream modes every assertion runs under: the sequential sorter, the
+#: engine parsing in-process ("serial") and the engine's 2-worker pool.
 MODES = {
     "sequential": None,
-    "parallel-serial": ParallelConfig(executor="serial", batch_size=4),
-    "parallel-thread": ParallelConfig(executor="thread", max_workers=2, batch_size=4),
+    "parallel-serial": ParallelConfig(max_workers=1, batch_size=4),
+    "parallel-thread": ParallelConfig(max_workers=2, batch_size=4),
 }
 
 

@@ -157,15 +157,19 @@ def test_interning_preserves_observable_semantics(tmp_path, seed):
     assert with_pool[1], "generator produced no elems — test is vacuous"
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_interning_equivalence_under_parallel(tmp_path, executor):
+# The ids are the suite's stable names: one worker parses in-process, two
+# run the process pool.
+@pytest.mark.parametrize(
+    "workers", [pytest.param(1, id="serial"), pytest.param(2, id="thread")]
+)
+def test_interning_equivalence_under_parallel(tmp_path, workers):
     """The parallel engine with interning on emits the exact elem sequence of
     the uninterned sequential reference."""
     archive = _build_archive(tmp_path, 1234)
     reference = _consume(archive, interning=False)
-    config = ParallelConfig(executor=executor, batch_size=64)
+    config = ParallelConfig(max_workers=workers, batch_size=64)
     parallel_on = _consume(archive, interning=True, parallel=config)
-    off_config = ParallelConfig(executor=executor, batch_size=64, intern=False)
+    off_config = ParallelConfig(max_workers=workers, batch_size=64, intern=False)
     parallel_off = _consume(archive, interning=False, parallel=off_config)
 
     assert parallel_on[1] == reference[1]

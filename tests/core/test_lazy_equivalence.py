@@ -1,16 +1,21 @@
-"""The lazy zero-copy decode tier must be observably invisible (ISSUE 6).
+"""Lazy zero-copy decode must be observably invisible (ISSUE 6, ISSUE 12).
 
-Property tests: for randomized archives and live BMP feeds, the elem
-streams produced by the lazy tier — as dataclass values, ASCII lines and
-``field_dict()`` views — must be *identical* to the eager reference, across
-every combination of interning, sequential/parallel engines and filters.
-Corruption must surface identically too: the same exception out of
-``decode_update``, the same not-valid records out of the MRT parser, the
-same corrupt-message signals out of the BMP scan, whichever tier decodes.
+Decode is always lazy; two references pin its behaviour.  Stream level:
+for randomized archives and live BMP feeds, the elem streams of the
+default stream — as dataclass values, ASCII lines and ``field_dict()``
+views — must be *identical* to ``BGPStream(eager=True)``, which
+materialises every attribute set before delivery, across interning,
+sequential/in-process/process-pool engines and filters.  Call level: with
+the attribute-block decoder swapped for the eager ``PathAttributes.decode``
+oracle, ``decode_update``, the MRT parser and the BMP scan must produce the
+same values, the same not-valid records and the same exceptions — lazy
+decode that returns never fails later, and what the oracle rejects lazy
+decode rejects at decode time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import random
 import tempfile
@@ -20,30 +25,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
-from repro.bgp.attributes import (
-    LazyPathAttributes,
-    PathAttributes,
-    decode_attributes,
-    lazy_decoding,
-)
+from repro.bgp import message as bgp_message
+from repro.bgp.attributes import LazyPathAttributes, PathAttributes, decode_attributes
 from repro.bgp.community import CommunitySet
 from repro.bgp.fsm import SessionState
 from repro.bgp.message import BGPDecodeError, BGPUpdate, decode_update
 from repro.bgp.prefix import Prefix
 from repro.bmp.codec import scan_messages
 from repro.bmp.messages import BMPMessage, BMPPeerHeader
-from repro.bmp.source import BMPFeedProducer
+from repro.bmp.source import BMPFeedProducer, BMPKafkaDataSource
 from repro.broker.broker import Broker
 from repro.collectors.archive import Archive
 from repro.core import profiling
-from repro.core.interfaces import BrokerDataInterface
+from repro.core.interfaces import BrokerDataInterface, LiveDataInterface
 from repro.core.intern import InternPool, parse_interning, reset_default_pool
 from repro.core.parallel import ParallelConfig
 from repro.core.stream import BGPStream
 from repro.kafka.broker import MessageBroker
+from repro.mrt import records as mrt_records
 from repro.mrt.parser import clear_index_cache, read_dump
-from repro.mrt.records import BGP4MPMessage, BGP4MPStateChange, PeerEntry
+from repro.mrt.records import BGP4MPMessage, BGP4MPStateChange, PeerEntry, RIBPrefixRecord
 from repro.mrt.writer import write_rib_dump, write_updates_dump
+from repro.pybgpstream import BGPStream as PyBGPStream
 
 # ---------------------------------------------------------------------------
 # Randomized archive builder (compact cousin of the interning suite's)
@@ -142,6 +145,39 @@ def _build_archive(root: str, seed: int) -> Archive:
     return archive
 
 
+@contextlib.contextmanager
+def _oracle_decode():
+    """Swap the attribute-block decoder for the ``PathAttributes.decode`` oracle.
+
+    ``decode_attributes`` is the one entry point the UPDATE, MRT and BMP
+    codecs build attribute sets through, so inside this block they decode
+    every attribute eagerly, through the reference implementation.
+    """
+
+    def oracle(data, pool=None):
+        return PathAttributes.decode(data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bgp_message, "decode_attributes", oracle)
+        patch.setattr(mrt_records, "decode_attributes", oracle)
+        yield
+
+
+def _attribute_sets(record):
+    body = record.mrt.body if record.mrt is not None else None
+    if isinstance(body, RIBPrefixRecord):
+        return [entry.attributes for entry in body.entries]
+    if isinstance(body, BGP4MPMessage):
+        return [body.update.attributes]
+    return []
+
+
+def _assert_materialised(record):
+    """``eager=True`` delivers records with nothing left deferred."""
+    for attrs in _attribute_sets(record):
+        assert not getattr(attrs, "deferred_types", None), record
+
+
 def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None):
     """Full pass over the archive, rendered every observable way."""
     clear_index_cache()
@@ -160,6 +196,8 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
         stream.add_interval_filter(900, 2500)
         record_lines, elems, elem_lines, field_dicts = [], [], [], []
         for record in stream.records():
+            if eager:
+                _assert_materialised(record)
             record_lines.append(record.to_ascii())
             for elem in record.elems():
                 if not stream.filters.match_elem(elem):
@@ -172,7 +210,7 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
 
 
 # ---------------------------------------------------------------------------
-# The invisibility property: lazy × eager × interning × engine × filters
+# The invisibility property: default × eager=True × interning × engine × filters
 # ---------------------------------------------------------------------------
 
 
@@ -180,7 +218,7 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     interning=st.booleans(),
-    executor=st.sampled_from([None, "serial", "thread"]),
+    workers=st.sampled_from([None, 1]),
     filter_spec=st.sampled_from(
         [
             None,
@@ -194,11 +232,11 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
         ]
     ),
 )
-def test_lazy_tier_is_observably_invisible(seed, interning, executor, filter_spec):
+def test_lazy_tier_is_observably_invisible(seed, interning, workers, filter_spec):
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, seed)
         parallel = (
-            None if executor is None else ParallelConfig(executor=executor, batch_size=32)
+            None if workers is None else ParallelConfig(max_workers=workers, batch_size=32)
         )
         reference = _consume(
             archive, eager=True, interning=interning, filter_spec=filter_spec
@@ -218,8 +256,21 @@ def test_lazy_tier_is_observably_invisible(seed, interning, executor, filter_spe
             assert reference[1], "generator produced no elems — test is vacuous"
 
 
+@pytest.mark.parametrize("interning", [True, False])
+def test_lazy_equivalence_under_process_pool(interning):
+    """Pool workers pickle records back fully materialised; the stream —
+    default or ``eager=True`` — still equals the sequential eager reference."""
+    with tempfile.TemporaryDirectory() as root:
+        archive = _build_archive(root, 99)
+        pool = ParallelConfig(max_workers=2, batch_size=32)
+        reference = _consume(archive, eager=True, interning=interning)
+        assert reference[1]
+        assert _consume(archive, eager=False, interning=interning, parallel=pool) == reference
+        assert _consume(archive, eager=True, interning=interning, parallel=pool) == reference
+
+
 def test_lazy_equivalence_under_live_bmp_feed():
-    """Live mode: the lazy tier's field_dict stream equals the eager one."""
+    """Live mode: the default field_dict stream equals the eager=True one."""
     rng = random.Random(2016)
     paths = [_random_path(rng) for _ in range(4)]
     sequence = []
@@ -245,11 +296,15 @@ def test_lazy_equivalence_under_live_bmp_feed():
             live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0},
             eager=eager,
         )
-        return [
-            (record.time, elem.field_dict())
-            for record in stream.records()
-            for elem in record.elems()
-        ]
+        out = []
+        deferred = 0
+        for record in stream.records():
+            if eager:
+                _assert_materialised(record)
+            deferred += sum(bool(attrs.deferred_types) for attrs in _attribute_sets(record))
+            out.extend((record.time, elem.field_dict()) for elem in record.elems())
+        assert eager or deferred, "the default live path decoded nothing lazily"
+        return out
 
     eager_out = consume(True)
     lazy_out = consume(False)
@@ -258,7 +313,7 @@ def test_lazy_equivalence_under_live_bmp_feed():
 
 
 # ---------------------------------------------------------------------------
-# Corruption parity: the same signal whichever tier decodes
+# Corruption parity: the same signal as the eager oracle
 # ---------------------------------------------------------------------------
 
 
@@ -283,24 +338,20 @@ def _encoded_update() -> bytes:
 
 
 def test_corrupt_update_raises_identically_in_both_tiers():
-    """Flipping any byte of an UPDATE yields the same outcome lazy vs eager."""
+    """Flipping any byte of an UPDATE yields the oracle's outcome."""
     wire = _encoded_update()
     for offset in range(19, len(wire)):  # skip the marker header: framing layer
         for flip in (0xFF, 0x01):
             mutated = bytearray(wire)
             mutated[offset] ^= flip
             mutated = bytes(mutated)
-            with lazy_decoding(False):
+            with _oracle_decode():
                 eager = _outcome(lambda: decode_update(mutated))
-            with lazy_decoding(True):
-                lazy = _outcome(lambda: _materialised_update(mutated))
+            lazy = _outcome(lambda: decode_update(mutated))
+            if lazy[0] == "ok" and isinstance(lazy[1].attributes, LazyPathAttributes):
+                # What decoded must materialise: nothing is left to fail later.
+                lazy[1].attributes.materialise_all()
             assert lazy == eager, f"divergence at offset {offset} flip {flip:#x}"
-
-
-def _materialised_update(wire: bytes) -> BGPUpdate:
-    update = decode_update(wire)
-    update.attributes.encode()  # touch every deferred field
-    return update
 
 
 @pytest.mark.parametrize(
@@ -316,8 +367,7 @@ def _materialised_update(wire: bytes) -> BGPUpdate:
     ],
 )
 def test_deferred_validation_matches_eager_exception(attr):
-    with lazy_decoding(False):
-        eager = _outcome(lambda: PathAttributes.decode(attr))
+    eager = _outcome(lambda: PathAttributes.decode(attr))
     lazy = _outcome(lambda: LazyPathAttributes(attr))
     assert eager[0] == "raise"
     assert lazy[:2] == eager[:2]  # same exception class (messages may differ
@@ -341,7 +391,9 @@ def test_corrupt_mrt_records_surface_identically(tmp_path):
             def render(eager):
                 clear_index_cache()
                 lines = []
-                for record in read_dump(str(target), lazy=not eager):
+                with _oracle_decode() if eager else contextlib.nullcontext():
+                    records = read_dump(str(target))
+                for record in records:
                     if record.is_valid:
                         # Encoding a lazy body materialises every deferred
                         # attribute, so divergent decodes cannot hide.
@@ -372,7 +424,9 @@ def test_corrupt_bmp_frames_surface_identically():
 
     def render(buffer, eager):
         out = []
-        for message in scan_messages(buffer, lazy=not eager):
+        with _oracle_decode() if eager else contextlib.nullcontext():
+            messages = scan_messages(buffer)
+        for message in messages:
             if message.is_valid:
                 body = message.body
                 update = getattr(body, "update", None)
@@ -413,7 +467,7 @@ def _attr_block() -> bytes:
 def test_lazy_attributes_defer_and_match_eager():
     block = _attr_block()
     eager = PathAttributes.decode(block)
-    lazy = decode_attributes(block, lazy=True)
+    lazy = decode_attributes(block)
     assert type(lazy) is LazyPathAttributes
     assert lazy.deferred_types  # nothing read yet
     assert lazy == eager  # comparison materialises every field
@@ -424,14 +478,14 @@ def test_lazy_attributes_defer_and_match_eager():
 def test_lazy_attributes_intern_on_materialisation():
     block = _attr_block()
     pool = InternPool()
-    lazy = decode_attributes(block, lazy=True, pool=pool)
+    lazy = decode_attributes(block, pool=pool)
     canonical = pool.path(PathAttributes.decode(block).as_path)
     assert lazy.as_path is canonical
     assert lazy.communities is pool.communities(lazy.communities)
 
 
 def test_lazy_attributes_pickle_to_plain_eager_class():
-    lazy = decode_attributes(_attr_block(), lazy=True)
+    lazy = decode_attributes(_attr_block())
     clone = pickle.loads(pickle.dumps(lazy))
     assert type(clone) is PathAttributes
     assert clone == lazy
@@ -606,17 +660,47 @@ def test_bgpreader_eager_decode_and_decode_stats_flags(tmp_path, capsys):
             return out.getvalue().splitlines()
 
         default_lines = lines()
-        eager_lines = lines("--eager-decode")
-        assert default_lines == eager_lines
         assert default_lines
 
         stats_lines = lines("--decode-stats")
         comments = [line for line in stats_lines if line.startswith("# ")]
         assert any("records scanned" in line for line in comments)
         assert any("attr blocks deferred" in line for line in comments)
+        assert any("attr blocks eager:        0" in line for line in comments)
         assert [line for line in stats_lines if not line.startswith("# ")] == default_lines
 
-        eager_stats = lines("--decode-stats", "--eager-decode")
-        assert any(
-            "attr blocks deferred:     0" in line for line in eager_stats
-        )
+        with pytest.raises(SystemExit) as exit_info:
+            lines("--eager-decode")
+        assert exit_info.value.code == 2
+
+
+def _gateway_eager_flag():
+    from repro.gateway.cli import build_parser
+
+    build_parser().parse_args(["--live", "feed.bmp", "--eager-decode"])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (_gateway_eager_flag, SystemExit),
+        (lambda: ParallelConfig(executor="process"), TypeError),
+        (lambda: ParallelConfig(prefetch_subsets=1), TypeError),
+        (lambda: ParallelConfig(lazy=False), TypeError),
+        (lambda: ParallelConfig(cache_records=True), TypeError),
+        (lambda: read_dump("dump.mrt", cache_records=True), TypeError),
+        (lambda: read_dump("dump.mrt", lazy=False), TypeError),
+        (lambda: decode_update(_encoded_update(), lazy=False), TypeError),
+        (lambda: scan_messages(b"", lazy=False), TypeError),
+        (lambda: BMPKafkaDataSource(MessageBroker(), eager=True), TypeError),
+        (lambda: LiveDataInterface(broker=MessageBroker(), eager=True), TypeError),
+        (lambda: PyBGPStream(data_interface="kafka", eager=True), TypeError),
+    ],
+)
+def test_removed_decode_and_executor_spellings_are_rejected(call, error):
+    """The options ISSUE 12 deleted fail loudly instead of being ignored
+    (``bgpreader --eager-decode`` is covered by the CLI test above)."""
+    with pytest.raises(error) as raised:
+        call()
+    if error is SystemExit:
+        assert raised.value.code == 2

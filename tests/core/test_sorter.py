@@ -244,25 +244,22 @@ class TestMergeProperties:
         ]
         assert batched == reference
 
-        for executor in ("serial", "thread"):
-            engine = ParallelStreamEngine(
-                ParallelConfig(executor=executor, batch_size=batch_size, max_workers=3)
-            )
-            parallel = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
-            assert parallel == reference, f"{executor} path diverged from sequential merge"
+        engine = ParallelStreamEngine(ParallelConfig(batch_size=batch_size, max_workers=1))
+        parallel = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
+        assert parallel == reference, "in-process engine diverged from sequential merge"
 
     def test_process_pool_path_matches_sequential(self, tmp_path):
         rng = random.Random(42)
         specs, _ = _random_file_set(rng, tmp_path)
         reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-        with ParallelStreamEngine(ParallelConfig(executor="process", max_workers=2)) as engine:
+        with ParallelStreamEngine(ParallelConfig(max_workers=2)) as engine:
             assert [_record_key(r) for r in engine.iter_records(specs)] == reference
 
     def test_engine_pool_is_reused_and_survives_close(self, tmp_path):
         rng = random.Random(7)
         specs, _ = _random_file_set(rng, tmp_path)
         reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-        engine = ParallelStreamEngine(ParallelConfig(executor="thread", max_workers=2))
+        engine = ParallelStreamEngine(ParallelConfig(max_workers=2))
         assert [_record_key(r) for r in engine.iter_records(specs)] == reference
         pool = engine._executor
         assert pool is not None
@@ -274,3 +271,19 @@ class TestMergeProperties:
         assert [_record_key(r) for r in engine.iter_records(specs)] == reference
         assert engine._executor is not pool
         engine.close()
+
+    def test_broken_pool_falls_back_to_in_process_parsing(self, tmp_path):
+        rng = random.Random(11)
+        specs, _ = _random_file_set(rng, tmp_path)
+        reference = [_record_key(r) for r in SortedRecordMerger(specs)]
+        with ParallelStreamEngine(ParallelConfig(max_workers=2)) as engine:
+            engine._ensure_executor().shutdown()  # submits now raise RuntimeError
+            assert [_record_key(r) for r in engine.iter_records(specs)] == reference
+            assert engine.fallback_files == len(specs)
+
+    def test_one_worker_parses_in_process_without_a_pool(self, tmp_path):
+        rng = random.Random(12)
+        specs, _ = _random_file_set(rng, tmp_path)
+        engine = ParallelStreamEngine(ParallelConfig(max_workers=1))
+        assert list(engine.iter_records(specs))
+        assert engine._executor is None and engine.fallback_files == 0

@@ -63,7 +63,7 @@ class TestBatchedConsumption:
     ):
         from repro.core.parallel import ParallelConfig
 
-        for parallel in (None, ParallelConfig(executor="serial")):
+        for parallel in (None, ParallelConfig(max_workers=1)):
             stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
             if parallel is not None:
                 stream.set_parallel(parallel)
@@ -92,7 +92,7 @@ class TestBatchedConsumption:
             for r in make_stream(core_archive, core_scenario.start, core_scenario.end).records()
         ]
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        stream.set_parallel(ParallelConfig(executor="thread", max_workers=2))
+        stream.set_parallel(ParallelConfig(max_workers=2))
         parallel = [(r.time, r.collector, str(r.status)) for r in stream.records()]
         assert parallel == reference
 

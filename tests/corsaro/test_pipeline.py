@@ -100,7 +100,7 @@ class TestPipelineDriver:
         reference = outputs(None, None)
         assert reference[1] > 0
         assert outputs(64, None) == reference
-        assert outputs(64, ParallelConfig(executor="thread", max_workers=2)) == reference
+        assert outputs(64, ParallelConfig(max_workers=2)) == reference
 
     def test_outputs_collected_per_plugin(self, corsaro_archive, corsaro_scenario):
         stream = make_corsaro_stream(
