@@ -1,8 +1,10 @@
 """Gateway fan-out at scale: 1k+ subscribers off one decode loop (ISSUE 7).
 
 The claim under test is the gateway's whole reason to exist: with N
-subscribers the per-frame cost is one wire decode plus N ``match_elem``
-probes — never N decodes.  The benchmark drives :meth:`StreamHub.run`
+subscribers the per-frame cost is one wire decode, one walk of the hub's
+subscription index and one ``offer`` per subscriber that watches a covering
+prefix — never N decodes, and never N probes.  The benchmark drives
+:meth:`StreamHub.run`
 synchronously (no sockets: the transport layer is exercised by the e2e
 tests; here we measure the fan-out core) with 1024 filtered subscribers
 plus one deliberately slow, never-draining subscriber, and asserts:
@@ -13,7 +15,13 @@ plus one deliberately slow, never-draining subscriber, and asserts:
 2. **exact delivery** — every subscriber received precisely its /16 slice,
    in timestamp order;
 3. **no stall** — the never-draining subscriber ends the run with a
-   bounded queue and gap markers while the decode loop ran to completion.
+   bounded queue and gap markers while the decode loop ran to completion;
+4. **no wasted offers** — for this roster (pure ``prefix`` watchers plus
+   one firehose) the hub offers exactly the elems it delivers.
+
+A second, roster-churn variant retunes one subscriber every 64 records and
+bounds the wall: index upkeep that scaled with the roster per *record*
+(a staleness walk, a rebuild per record) could not hide under it.
 """
 
 from __future__ import annotations
@@ -41,8 +49,16 @@ PER_NET = FRAMES // NETS
 FANOUT = SUBSCRIBERS // NETS  # deliveries per elem
 
 #: Conservative lower bound on delivered elems/s — an order of magnitude
-#: below a warm local run, so only a real fan-out regression trips it.
-DELIVERED_PER_SEC_FLOOR = 2_000
+#: below a warm local run (~50k/s), so only a real fan-out regression
+#: trips it.
+DELIVERED_PER_SEC_FLOOR = 5_000
+
+#: Roster churn: one add_filter/remove_filter pair every this many records.
+CHURN_EVERY = 64
+#: Generous wall ceiling for the churn run (a warm local run takes ~0.5 s:
+#: 16 index rebuilds over 1,025 subscribers).  An O(subscribers) staleness
+#: check per record, or a rebuild per record, costs many times this.
+CHURN_WALL_CEILING = 4.0
 
 
 def build_hub():
@@ -133,9 +149,48 @@ def test_gateway_fanout_1k_subscribers(benchmark):
     benchmark.extra_info["subscribers"] = SUBSCRIBERS + 1
     benchmark.extra_info["frames"] = FRAMES
     benchmark.extra_info["elems_delivered"] = hub.elems_delivered
-    benchmark.extra_info["match_probes"] = FRAMES * (SUBSCRIBERS + 1)
+    # 4. Every watcher here is a pure ``prefix`` term (or the firehose), so
+    # the index names exactly the subscribers that match: no wasted offers.
+    assert hub.elems_offered == hub.elems_delivered
+    benchmark.extra_info["elems_offered"] = hub.elems_offered
     benchmark.extra_info["delivered_per_sec"] = round(delivered_per_sec)
-    benchmark.extra_info["match_probes_per_sec"] = round(
-        FRAMES * (SUBSCRIBERS + 1) / seconds
-    )
     assert delivered_per_sec > DELIVERED_PER_SEC_FLOOR
+
+
+def test_gateway_fanout_1k_subscribers_roster_churn(benchmark):
+    """The same feed while one subscriber retunes every ``CHURN_EVERY``
+    records: each change costs one index rebuild at the next record, and
+    the records in between cost nothing that scales with the roster."""
+    state = {}
+
+    def setup():
+        hub, fast, _slow = build_hub()
+        churner = fast[0]  # watches 10.0.0.0/16; 10.200.0.0/16 is never fed
+        records = hub.stream.records
+
+        def churning():
+            for index, record in enumerate(records()):
+                if index % CHURN_EVERY == 0:
+                    churner.add_filter("prefix", "10.200.0.0/16")
+                    churner.remove_filter("prefix", "10.200.0.0/16")
+                yield record
+
+        hub.stream.records = churning
+        state["hub"], state["fast"] = hub, fast
+        return (), {}
+
+    def run_fanout():
+        state["hub"].run()
+
+    benchmark.pedantic(run_fanout, setup=setup, rounds=1)
+    hub, fast = state["hub"], state["fast"]
+    # Churn that leaves the filters where they were changes nothing delivered.
+    assert hub.elems_seen == FRAMES
+    assert hub.elems_offered == hub.elems_delivered == FRAMES * FANOUT + FRAMES
+    for subscriber in fast:
+        assert sum(len(w.elems) for w in subscriber.drain()) == PER_NET
+    seconds = benchmark.stats.stats.min
+    benchmark.extra_info["subscribers"] = SUBSCRIBERS + 1
+    benchmark.extra_info["filter_changes"] = 2 * (FRAMES // CHURN_EVERY)
+    benchmark.extra_info["elems_offered"] = hub.elems_offered
+    assert seconds < CHURN_WALL_CEILING

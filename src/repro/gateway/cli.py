@@ -168,9 +168,7 @@ async def _amain(args: argparse.Namespace, out: IO[str]) -> int:
             while not hub.finished:
                 await asyncio.sleep(0.05)
             # Let connected subscribers drain their queues before closing.
-            while any(
-                s.ready_count for s in list(hub._subscribers)
-            ):  # pragma: no cover - timing-dependent
+            while any(s.ready_count for s in hub.subscribers()):
                 await asyncio.sleep(0.05)
         else:
             await server.serve_forever()

@@ -4,9 +4,25 @@ The :class:`StreamHub` owns a live :class:`~repro.core.stream.BGPStream`
 (BMP-over-Kafka feed) and runs its decode loop in **one** bridge thread.
 Every elem is decoded exactly once; each :class:`Subscriber` then sees the
 shared elem objects through its own trie-backed
-:class:`~repro.core.filters.FilterSet` and its own event-time window, so
-the per-subscriber cost is ``match_elem`` — never a re-decode — and all
-subscribers share the stream's intern pool.
+:class:`~repro.core.filters.FilterSet` and its own event-time window —
+never a re-decode — and all subscribers share the stream's intern pool.
+
+Fan-out goes through a *subscription index*, not over the roster: the hub
+files every subscriber under the prefixes it watches in one shared
+:class:`~repro.bgp.trie.PrefixTrie`, so the per-elem cost is one
+``covering(elem.prefix)`` walk plus one :meth:`Subscriber.offer` per
+*candidate*, not one per subscriber.  Subscribers the trie cannot decide
+(no prefix term, or a ``prefix-less``/``prefix-any`` term) sit on an
+always-probe list, which is also all that an elem without a prefix is
+offered to.  The index is a superset pre-filter — ``offer`` still makes
+the whole decision under the subscriber's lock — so what is delivered is
+exactly what offering every elem to every subscriber would deliver.  A
+roster or filter change (:meth:`StreamHub.subscribe` /
+:meth:`~StreamHub.unsubscribe`, :meth:`Subscriber.add_filter` /
+:meth:`~Subscriber.remove_filter` — the only supported ways to change
+them) marks the index stale; the bridge checks that one flag per record
+and rebuilds before the next fan-out, so a change is visible no later
+than the next record.  ``elems_offered`` counts the offers made.
 
 Backpressure is per subscriber and never reaches the decode loop: closed
 windows land in a bounded deque; when a slow consumer lets it fill, the
@@ -20,7 +36,10 @@ The hub is asyncio-agnostic: the server layer bridges into an event loop by
 registering a notifier callback per subscriber
 (:meth:`Subscriber.set_notifier` → ``loop.call_soon_threadsafe``); a
 benchmark or test can equally drive :meth:`StreamHub.run` synchronously and
-pop windows directly.
+pop windows directly.  Notifications are edge-triggered — fired when a
+ready queue goes empty → non-empty or the feed finishes, not per window:
+each one is a self-pipe write that hands the GIL over, and a bridge that
+fired per window kept the loop it was waking from ever running.
 
 Resilience: the decode loop runs under a
 :class:`~repro.core.resilience.Supervisor`.  A bridge crash (a poll path
@@ -41,11 +60,14 @@ reconnect-with-cursor resume tokens are built on :meth:`Subscriber.ack` /
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from itertools import chain
+from typing import Callable, Collection, Dict, List, Optional
 
 from repro import _metrics
+from repro.bgp.prefix import Prefix
+from repro.bgp.trie import PrefixTrie
 from repro.core.elem import BGPElem
-from repro.core.filters import FilterSet
+from repro.core.filters import MATCH_ANY, MATCH_LESS, FilterSet
 from repro.core.resilience import RetryPolicy, Supervisor
 from repro.core.stream import BGPStream
 from repro.utils.timeutil import Clock, SystemClock
@@ -218,6 +240,9 @@ class Subscriber:
         self._ready: List[GatewayWindow] = []
         self._inflight: List[GatewayWindow] = []
         self._notifier: Optional[Callable[[], None]] = None
+        #: Set by the hub that owns this subscriber: called after every
+        #: filter change so the hub's subscription index is rebuilt.
+        self._on_filters_changed: Optional[Callable[[], None]] = None
         self._pending_crash = 0
         self.finished = False
         #: The terminal bridge error, set only when the hub gave up (a
@@ -238,19 +263,34 @@ class Subscriber:
     def add_filter(self, name: str, value: str) -> None:
         with self._lock:
             self.filters.add(name, value)
+        self._filters_changed()
 
     def remove_filter(self, name: str, value: str) -> None:
         with self._lock:
             self.filters.remove(name, value)
+        self._filters_changed()
+
+    def _filters_changed(self) -> None:
+        # After the change and outside the lock: the hub re-reads the
+        # filters (under this lock) no later than its next record.
+        changed = self._on_filters_changed
+        if changed is not None:
+            changed()
 
     def set_interval(self, start: int, end: Optional[int]) -> None:
         with self._lock:
             self.filters.add_interval(start, end)
 
     def set_notifier(self, notifier: Optional[Callable[[], None]]) -> None:
-        """Register a callback fired (from the bridge thread) whenever a
-        window becomes ready or the feed finishes — the server layer passes
-        ``lambda: loop.call_soon_threadsafe(event.set)``."""
+        """Register a callback fired (from the bridge thread) when the
+        ready queue becomes non-empty, or the feed finishes — the server
+        layer passes ``lambda: loop.call_soon_threadsafe(event.set)``.
+
+        The notification is edge-triggered: windows that close while
+        earlier ones are still queued do not fire again, so a consumer
+        must pop until :meth:`pop_window` returns ``None`` on every
+        wake-up.  (Registering late, with windows already pending or the
+        feed already finished, fires at once.)"""
         with self._lock:
             self._notifier = notifier
             pending = bool(self._ready) or self.finished
@@ -320,13 +360,16 @@ class Subscriber:
 
     def _push(self, window: GatewayWindow) -> bool:
         """Queue a closed window; coalesce/drop under backpressure.
-        Returns True when the consumer should be notified.  Caller holds
-        the lock."""
+        Returns True when the consumer should be notified — the queue went
+        from empty to non-empty (a consumer that has windows queued was
+        already told, and drains fully per wake-up).  Caller holds the
+        lock."""
         self.windows_closed += 1
         if self._pending_crash:
             window.crash_before += self._pending_crash
             self._pending_crash = 0
         ready = self._ready
+        was_empty = not ready
         ready.append(window)
         while len(ready) > self.max_queued_windows:
             oldest, second = ready[0], ready[1]
@@ -356,7 +399,7 @@ class Subscriber:
                 merged.dropped_elems += overflow
                 self.elems_dropped += overflow
             ready[:2] = [merged]
-        return True
+        return was_empty
 
     def _fire(self) -> None:
         notifier = self._notifier
@@ -496,10 +539,19 @@ class StreamHub:
         self._supervisor: Optional[Supervisor] = None
         self._lock = threading.Lock()
         self._subscribers: List[Subscriber] = []
+        # The subscription index (bridge-thread state, see _rebuild_index):
+        # watched prefix -> subscribers watching it, plus the subscribers
+        # the trie cannot decide.  Any roster or filter change marks it
+        # stale; the bridge rebuilds it before its next record.
+        self._watchers: PrefixTrie = PrefixTrie()
+        self._always: List[Subscriber] = []
+        self._index_stale = False
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.records_seen = 0
         self.elems_seen = 0
+        #: ``Subscriber.offer`` calls the bridge made (index candidates).
+        self.elems_offered = 0
         self.elems_delivered = 0
         self.restarts = 0
         self.started = False
@@ -514,9 +566,9 @@ class StreamHub:
         """Scrape-time bridge: fold this hub's exact counters in."""
         _hub_records.add_total(self.records_seen)
         _hub_elems.add_total(self.elems_seen, kind="seen")
+        _hub_elems.add_total(self.elems_offered, kind="offered")
         _hub_elems.add_total(self.elems_delivered, kind="delivered")
-        with self._lock:
-            subscribers = list(self._subscribers)
+        subscribers = self.subscribers()
         _hub_subscribers.inc(len(subscribers))
         closed = coalesced = dropped = elems_dropped = 0
         for subscriber in subscribers:
@@ -559,7 +611,9 @@ class StreamHub:
                 subscriber.finished = True
                 if self.gave_up:
                     subscriber.error = self.error
+            subscriber._on_filters_changed = self._mark_index_stale
             self._subscribers.append(subscriber)
+        self._mark_index_stale()
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
@@ -567,12 +621,51 @@ class StreamHub:
             try:
                 self._subscribers.remove(subscriber)
             except ValueError:
-                pass
+                return
+        self._mark_index_stale()
+
+    def subscribers(self) -> List[Subscriber]:
+        """A snapshot of the roster, safe to iterate from any thread."""
+        with self._lock:
+            return list(self._subscribers)
 
     @property
     def subscriber_count(self) -> int:
         with self._lock:
             return len(self._subscribers)
+
+    # -- the subscription index ---------------------------------------------
+
+    def _mark_index_stale(self) -> None:
+        # Always called *after* the roster/filter change it reports, so a
+        # rebuild that clears the flag first cannot miss the change.
+        self._index_stale = True
+
+    def _rebuild_index(self) -> None:
+        """Re-derive the subscription index from the roster (bridge thread).
+
+        Subscribers whose every prefix term is ``prefix``/``prefix-more``/
+        ``prefix-exact`` can only match elems their watched prefixes
+        *cover*, so they are filed under those prefixes in one shared
+        trie.  Subscribers the trie cannot decide — no prefix term at all,
+        or a ``prefix-less``/``prefix-any`` term (those match elems that
+        contain the watched prefix) — go on the always-probe list.
+        """
+        self._index_stale = False  # before reading: a later change re-marks
+        groups: Dict[Prefix, List[Subscriber]] = {}
+        always: List[Subscriber] = []
+        for subscriber in self.subscribers():
+            with subscriber._lock:
+                filters = subscriber.filters
+                if filters.prefix_mode_mask & (MATCH_LESS | MATCH_ANY):
+                    watched = []
+                else:
+                    watched = list(filters.prefix_filters)
+            if not watched:
+                always.append(subscriber)
+            for prefix in watched:
+                groups.setdefault(prefix, []).append(subscriber)
+        self._watchers, self._always = PrefixTrie(groups.items()), always
 
     # -- the decode loop ----------------------------------------------------
 
@@ -615,21 +708,39 @@ class StreamHub:
             self.records_seen += 1
             if not record.is_valid:
                 continue
-            # Snapshot the roster once per record: joins/leaves observed
-            # at record granularity keep the per-elem loop copy-free.
-            with self._lock:
-                subscribers = list(self._subscribers)
+            # Joins, leaves and filter changes are observed at record
+            # granularity: one flag test per record, a rebuild only when
+            # something changed.
+            if self._index_stale:
+                self._rebuild_index()
             if _metrics.enabled:
                 with _metrics.trace_span("fanout"):
-                    self._fan_out(record, subscribers)
+                    self._fan_out(record)
             else:
-                self._fan_out(record, subscribers)
+                self._fan_out(record)
 
-    def _fan_out(self, record, subscribers: List[Subscriber]) -> None:
-        """Offer one record's elems to every subscriber."""
+    def _fan_out(self, record) -> None:
+        """Offer one record's elems to the subscribers that may want them.
+
+        One walk of the shared trie per elem names every subscriber
+        watching a prefix that covers it; those plus the always-probe list
+        are a superset of the matching subscribers, and
+        :meth:`Subscriber.offer` still makes the whole decision.
+        """
+        always = self._always
+        covering = self._watchers.covering
         for elem in record.elems():
             self.elems_seen += 1
-            for subscriber in subscribers:
+            candidates: Collection[Subscriber] = always
+            prefix = elem.prefix
+            if prefix is not None:
+                groups = [group for _watched, group in covering(prefix)]
+                if groups:
+                    # A subscriber watching several nested prefixes is in
+                    # several groups, and is still offered the elem once.
+                    candidates = dict.fromkeys(chain(always, *groups))
+            self.elems_offered += len(candidates)
+            for subscriber in candidates:
                 if subscriber.offer(elem):
                     self.elems_delivered += 1
 
@@ -640,9 +751,7 @@ class StreamHub:
         itself failed) and the supervisor gives up.
         """
         self.error = exc
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
+        for subscriber in self.subscribers():
             subscriber.mark_crash()
         if self._stream_factory is None or self._stop.is_set():
             return False
@@ -659,8 +768,7 @@ class StreamHub:
     def _finish(self, error: Optional[BaseException]) -> None:
         with self._lock:
             self.finished = True
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
+        for subscriber in self.subscribers():
             subscriber.flush(finished=True, error=error)
 
     def start(self) -> threading.Thread:
@@ -696,14 +804,13 @@ class StreamHub:
         return supervisor.crashes if supervisor is not None else 0
 
     def stats(self) -> Dict:
-        with self._lock:
-            subscribers = list(self._subscribers)
         source = getattr(self.stream._interface, "source", None)
         error = self.error
         body = {
-            "subscribers": len(subscribers),
+            "subscribers": self.subscriber_count,
             "records_seen": self.records_seen,
             "elems_seen": self.elems_seen,
+            "elems_offered": self.elems_offered,
             "elems_delivered": self.elems_delivered,
             "finished": self.finished,
             "crashes": self.crashes,

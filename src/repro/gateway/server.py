@@ -20,7 +20,8 @@ Endpoints (all GET):
 
 One bridge thread decodes the feed (see :mod:`repro.gateway.hub`); each
 connection runs a sender coroutine that drains its subscriber's bounded
-window queue.  A slow client blocks only its own ``writer.drain()`` —
+window queue, one socket write per batch of ready windows (one window
+when it keeps up).  A slow client blocks only its own ``writer.drain()`` —
 the decode loop never waits, and the subscriber's queue coalesces or
 drops windows (with gap markers) instead of growing without bound.
 
@@ -47,7 +48,8 @@ import asyncio
 import json
 import time
 import uuid
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import _metrics
 from repro.core import profiling
@@ -56,6 +58,7 @@ from repro.gateway.hub import (
     DEFAULT_COALESCE_BUDGET,
     DEFAULT_MAX_QUEUED_WINDOWS,
     DEFAULT_WINDOW_SIZE,
+    GatewayWindow,
     StreamHub,
     Subscriber,
 )
@@ -81,6 +84,10 @@ _MAX_HEAD = 64 * 1024
 
 #: Default seconds a detached session survives before it is reaped.
 DEFAULT_SESSION_TTL = 60.0
+
+#: Most windows a sender serialises into one socket write before it hands
+#: the loop to the other connections.
+SEND_BATCH_WINDOWS = 32
 
 #: Telemetry (see docs/OBSERVABILITY.md): bridged per live server by a
 #: weakref-bound collector, summed when several servers share a process.
@@ -410,10 +417,17 @@ class GatewayServer:
         session.attached = False
         session.detached_at = time.monotonic()
 
-    def _resume_token(self, session: Optional[_Session], window) -> Optional[str]:
-        if session is None:
-            return None
-        return f"{session.id}:{window.end}"
+    @staticmethod
+    def _bodies(
+        session: Optional[_Session], batch: List[GatewayWindow]
+    ) -> Iterator[Tuple[dict, Optional[str]]]:
+        """Each window's wire payload and (durable sessions) resume token."""
+        for window in batch:
+            body = window.payload()
+            token = None
+            if session is not None:
+                token = body["resume"] = f"{session.id}:{window.end}"
+            yield body, token
 
     def _final_frame(self, subscriber: Subscriber) -> dict:
         """The distinct stream-end frame: clean ``end`` or terminal error."""
@@ -438,17 +452,18 @@ class GatewayServer:
         subscriber.set_notifier(lambda: loop.call_soon_threadsafe(ready.set))
         writer.write(sse_preamble())
         try:
-            async for window in self._windows(subscriber, ready):
-                if window is None:
+            async for batch in self._windows(subscriber, ready):
+                if batch is None:
                     writer.write(sse_heartbeat())
                     await writer.drain()
                     continue
-                token = self._resume_token(session, window)
                 with _metrics.trace_span("deliver"):
-                    body = window.payload()
-                    if token is not None:
-                        body["resume"] = token
-                    writer.write(sse_event(body, event="window", event_id=token))
+                    writer.writelines(
+                        [
+                            sse_event(body, event="window", event_id=token)
+                            for body, token in self._bodies(session, batch)
+                        ]
+                    )
                     await writer.drain()
             final = self._final_frame(subscriber)
             writer.write(sse_event(final, event=final["type"]))
@@ -471,18 +486,17 @@ class GatewayServer:
             self._ws_receiver(subscriber, reader, writer, closed)
         )
         try:
-            async for window in self._windows(subscriber, ready, closed):
-                if window is None:
+            async for batch in self._windows(subscriber, ready, closed):
+                if batch is None:
                     writer.write(encode_ws_frame(b"heartbeat", OP_PING))
                     await writer.drain()
                     continue
-                token = self._resume_token(session, window)
                 with _metrics.trace_span("deliver"):
-                    body = window.payload()
-                    if token is not None:
-                        body["resume"] = token
-                    writer.write(
-                        encode_ws_frame(protocol.dumps(body).encode("utf-8"), OP_TEXT)
+                    writer.writelines(
+                        [
+                            encode_ws_frame(protocol.dumps(body).encode("utf-8"), OP_TEXT)
+                            for body, _token in self._bodies(session, batch)
+                        ]
                     )
                     await writer.drain()
             if not closed.is_set():
@@ -553,15 +567,32 @@ class GatewayServer:
         }
 
     async def _windows(self, subscriber, ready, closed: Optional[asyncio.Event] = None):
-        """Yield windows as they close; return when the feed (or client)
-        finishes.  Clear-before-check ordering makes the notifier race-free:
-        anything pushed after the pop loop re-sets the event.  With a
+        """Yield closed windows in batches; return when the feed (or
+        client) finishes.  ``ready`` is set when the subscriber's queue
+        becomes non-empty or the feed finishes — not once per window — so
+        every wake-up pops until ``None``.  Clear-before-check ordering
+        makes the notifier race-free: a push that finds the queue empty
+        after the pop loop re-sets the event.  With a
         ``heartbeat_interval``, a wait that times out yields ``None`` — the
-        caller sends its transport's keepalive frame."""
+        caller sends its transport's keepalive frame.
+
+        A batch is what was ready, up to ``SEND_BATCH_WINDOWS``, and the
+        caller sends it as one socket write.  Every ``send()`` (and every
+        pass through the loop's ``select()``) lets go of the GIL, and a
+        decoding bridge then keeps it for a whole switch interval; a sender
+        that wrote window by window moved at the pace of those hand-overs
+        rather than of its own work, so how far it fell behind the bridge
+        was up to the scheduler.  A keeping-up sender's batches are one
+        window long."""
         while closed is None or not closed.is_set():
             ready.clear()
-            while (window := subscriber.pop_window()) is not None:
-                yield window
+            ready_windows = iter(subscriber.pop_window, None)
+            while batch := list(islice(ready_windows, SEND_BATCH_WINDOWS)):
+                yield batch
+                # A socket that keeps up never suspends in drain(); without
+                # this, one connection with a backlog would hold the loop
+                # until its queue ran dry while the others' wake-ups waited.
+                await asyncio.sleep(0)
                 if closed is not None and closed.is_set():
                     return
             if subscriber.finished and subscriber.ready_count == 0:

@@ -19,6 +19,7 @@ from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.bmp import BMPFeedProducer, BMPMessage, BMPPeerHeader
 from repro.core import profiling
+from repro.core.elem import BGPElem, ElemType
 from repro.core.filters import FilterSet
 from repro.core.interfaces import LiveDataInterface
 from repro.core.stream import BGPStream
@@ -260,16 +261,20 @@ class TestSubscriberUnit:
         offered = [subscriber.offer(elem) for elem in self.elems(seconds=8)]
         assert offered == [False, False, True, True, True, False, False, False]
 
-    def test_notifier_fires_on_window_close_and_finish(self):
+    def test_notifier_fires_once_for_a_consumer_that_never_pops(self):
+        # Edge-triggered: only the empty -> non-empty transition notifies,
+        # however many windows close behind it; finish always does.
+        closes = 6
         fired = []
-        subscriber = Subscriber(window_size=1)
-        subscriber.set_notifier(lambda: fired.append(len(fired)))
-        elems = self.elems(seconds=3)
+        subscriber = Subscriber(window_size=1, max_queued_windows=closes + 1)
+        subscriber.set_notifier(lambda: fired.append(subscriber.ready_count))
+        elems = self.elems(seconds=closes + 1)
         for elem in elems:
             subscriber.offer(elem)
-        assert len(fired) == 2  # two closed windows; the third is still open
+        assert subscriber.ready_count == closes  # the last window is still open
+        assert fired == [1]
         subscriber.flush(finished=True)
-        assert len(fired) == 3
+        assert fired == [1, closes + 1]
         # A notifier registered late (windows already pending) fires at once.
         other = Subscriber(window_size=1)
         for elem in elems:
@@ -277,6 +282,61 @@ class TestSubscriberUnit:
         late = []
         other.set_notifier(lambda: late.append(True))
         assert late == [True]
+
+    def test_notifier_fires_per_close_for_a_consumer_that_drains(self):
+        closes = 6
+        fired = []
+        popped = []
+
+        def consume():
+            fired.append(True)
+            while (window := subscriber.pop_window()) is not None:
+                popped.append(window)
+
+        subscriber = Subscriber(window_size=1)
+        subscriber.set_notifier(consume)
+        for elem in self.elems(seconds=closes + 1):
+            subscriber.offer(elem)
+        assert len(fired) == closes  # the queue emptied before every close
+        subscriber.flush(finished=True)
+        assert len(fired) == closes + 1
+        assert [w.start for w in popped] == [BASE_TS + i for i in range(closes + 1)]
+
+    def test_no_wakeup_is_lost_between_producer_and_consumer_threads(self):
+        # The server's consumer shape: wait, clear, pop until None.  With
+        # edge-triggered notifications every window must still arrive, in
+        # order, and the consumer must never sleep on a non-empty queue
+        # once the producer is done (that would be a lost wake-up).
+        windows = 10_000
+        subscriber = Subscriber(window_size=1, max_queued_windows=windows + 1)
+        wake = threading.Event()
+        subscriber.set_notifier(wake.set)
+        received = []
+        stranded = []
+
+        def consume():
+            while True:
+                if not wake.wait(timeout=10):
+                    stranded.append(subscriber.ready_count)
+                    return
+                wake.clear()
+                while (window := subscriber.pop_window()) is not None:
+                    received.append(window.start)
+                if subscriber.finished and subscriber.ready_count == 0:
+                    return
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        for second in range(windows):
+            subscriber.offer(
+                BGPElem(ElemType.ANNOUNCEMENT, BASE_TS + second, "10.0.0.1", 65001)
+            )
+        subscriber.flush(finished=True)
+        consumer.join(timeout=60)
+        assert not consumer.is_alive()
+        assert stranded == []
+        assert received == [BASE_TS + second for second in range(windows)]
+        assert subscriber.snapshot()["windows_closed"] == windows
 
     def test_offer_is_safe_against_concurrent_multiplexing(self):
         subscriber = Subscriber(FilterSet().add("prefix", "10.1.0.0/16"))

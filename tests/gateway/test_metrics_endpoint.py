@@ -16,6 +16,7 @@ import json
 import re
 
 from repro.core import metrics, profiling
+from repro.core.filters import FilterSet
 from repro.core.resilience import RetryPolicy
 from repro.gateway.server import GatewayServer
 
@@ -89,6 +90,11 @@ class TestMetricsEndpoint:
         profiling.enable()
         try:
             hub = live_hub(messages)
+            # A firehose, a /16 watcher (half the feed) and one the index
+            # offers the same half to but whose peer term admits a quarter.
+            hub.subscribe(FilterSet())
+            hub.subscribe(FilterSet().add("prefix", "10.1.0.0/16"))
+            hub.subscribe(FilterSet().add("prefix", "10.1.0.0/16").add("peer-asn", "65001"))
             hub.run()  # decode the whole feed through the kafka source
             exercise_other_tiers(tmp_path)
 
@@ -132,6 +138,16 @@ class TestMetricsEndpoint:
 
         assert sample(r"^repro_hub_records_total (\d+)$") >= len(messages)
         assert sample(r'^repro_hub_elems_total\{kind="seen"\} (\d+)$') >= len(messages)
+        # The fan-out's work is countable: offers made (index candidates)
+        # sit between deliveries and the subscribers x elems product.
+        assert hub.elems_seen == len(messages)
+        assert hub.elems_offered == 2 * len(messages)
+        assert hub.elems_delivered == 2 * len(messages) - len(messages) // 4
+        offered = sample(r'^repro_hub_elems_total\{kind="offered"\} (\d+)$')
+        delivered = sample(r'^repro_hub_elems_total\{kind="delivered"\} (\d+)$')
+        assert offered >= hub.elems_offered
+        assert hub.elems_delivered <= delivered <= offered
+        assert hub.elems_offered < hub.elems_seen * hub.subscriber_count
         assert sample(r"^repro_kafka_frames_total\{status=\"ok\"\} (\d+)$") == len(messages)
         assert sample(r"^repro_kafka_poll_latency_seconds_count (\d+)$") > 0
         assert sample(r"^repro_decode_bmp_frames_scanned_total (\d+)$") > 0

@@ -19,6 +19,7 @@ import threading
 import time
 
 from repro.core import profiling
+from repro.core.elem import BGPElem, ElemType
 from repro.gateway import cli
 from repro.gateway.protocol import (
     OP_CLOSE,
@@ -27,7 +28,7 @@ from repro.gateway.protocol import (
     encode_ws_frame,
     websocket_accept,
 )
-from repro.gateway.server import GatewayServer
+from repro.gateway.server import SEND_BATCH_WINDOWS, GatewayServer
 
 from test_hub import BASE_TS, live_hub, make_update, striped_feed
 
@@ -354,6 +355,41 @@ class TestBackpressureEndToEnd:
         dropped = sum(w.get("dropped_elems", 0) for w in slow_windows)
         assert delivered + dropped == len(messages)
         assert delivered < len(messages)  # backpressure actually engaged
+
+
+class TestSenderFairness:
+    def test_backlogged_connections_share_the_loop(self):
+        # Wake-ups are edge-triggered and a keeping-up socket never suspends
+        # in drain(), so a sender with a backlog takes it a bounded batch at
+        # a time and hands the loop over in between — or its peers' first
+        # windows wait for its last.
+        hub = live_hub([make_update(65001, "10.1.0.0/24", BASE_TS)])
+        server = GatewayServer(hub)
+        backlog = 3 * SEND_BATCH_WINDOWS + 2
+        subscribers = []
+        for _ in range(2):
+            subscriber = hub.subscribe(max_queued_windows=backlog)
+            for second in range(backlog):
+                subscriber.offer(
+                    BGPElem(ElemType.ANNOUNCEMENT, BASE_TS + second, "10.0.0.1", 65001)
+                )
+            subscriber.flush(finished=True)
+            subscribers.append(subscriber)
+        turns = []
+
+        async def send(index):
+            async for batch in server._windows(subscribers[index], asyncio.Event()):
+                turns.append((index, [window.start - BASE_TS for window in batch]))
+
+        async def scenario():
+            await asyncio.gather(send(0), send(1))
+
+        asyncio.run(asyncio.wait_for(scenario(), TIMEOUT))
+        seconds = list(range(backlog))
+        batches = [
+            seconds[at : at + SEND_BATCH_WINDOWS] for at in range(0, backlog, SEND_BATCH_WINDOWS)
+        ]
+        assert turns == [(index, batch) for batch in batches for index in (0, 1)]
 
 
 class TestCLI:
