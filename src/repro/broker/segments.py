@@ -1,20 +1,18 @@
 """The persistent decoded-segment cache: repeated analyses skip wire decode.
 
-The MRT parser already keeps an in-memory per-file cache (header index +
-opt-in decoded records, PR 2), but it dies with the process.  This tier
-persists the *decoded* form of each dump file as a **segment** on disk, so
-the second analysis of a window — tomorrow, or in another process — never
-touches the MRT wire format at all: it unpickles ready-made
-:class:`~repro.core.record.BGPStreamRecord` lists instead of decompressing,
-scanning and decoding dumps.
+The MRT parser keeps nothing once a file has been read.  This tier, the
+only cache on the read path, persists the *decoded* form of each dump file
+as a **segment** on disk, so the second analysis of a window — tomorrow, or
+in another process — never touches the MRT wire format at all: it unpickles
+ready-made :class:`~repro.core.record.BGPStreamRecord` lists instead of
+decompressing, scanning and decoding dumps.
 
 Design points:
 
-* **Keyed by the header-index signature.**  A segment belongs to one dump
-  file *content*: the key is the file path plus the same ``(st_size,
-  st_mtime_ns)`` signature the parser's header index uses
-  (:func:`repro.mrt.parser.file_signature`).  A rewritten dump silently
-  misses and re-decodes; a stale segment can never be served.
+* **Keyed by the file signature.**  A segment belongs to one dump file
+  *content*: the key is the file path plus its ``(st_size, st_mtime_ns)``
+  signature (:func:`repro.mrt.parser.file_signature`).  A rewritten dump
+  silently misses and re-decodes; a stale segment can never be served.
 * **Columnar layout.**  A segment stores the per-record header fields as
   packed arrays (timestamps, MRT types/subtypes, statuses, positions) and
   the decoded bodies as one pickled list — cheaper to write and to load
@@ -40,10 +38,8 @@ Design points:
   (:mod:`repro._profiling`), so a warm replay visibly reports where its
   records came from.
 
-The cache object is picklable (it reduces to its configuration), so a
-:class:`~repro.core.parallel.ParallelConfig` can carry one into process-pool
-workers: each worker reopens the same on-disk cache and SQLite's locking
-arbitrates concurrent access.
+Processes share a cache by *path*: each one opens ``SegmentCache(root)``
+on the same directory and SQLite's locking arbitrates concurrent access.
 """
 
 from __future__ import annotations
@@ -140,13 +136,6 @@ class SegmentCache:
 
     def close(self) -> None:
         self._conn.close()
-
-    def __getstate__(self) -> Tuple[str, int]:
-        # Workers reopen the same on-disk cache from its configuration.
-        return (self.root, self.max_bytes)
-
-    def __setstate__(self, state: Tuple[str, int]) -> None:
-        self.__init__(state[0], max_bytes=state[1])
 
     def __repr__(self) -> str:
         return f"SegmentCache(root={self.root!r}, max_bytes={self.max_bytes})"

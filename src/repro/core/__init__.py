@@ -27,7 +27,6 @@ from repro.core.interfaces import (
     SingleFileDataInterface,
     SQLiteDataInterface,
 )
-from repro.core.parallel import ParallelConfig, ParallelStreamEngine
 from repro.core.sorter import DumpFileReader, SortedRecordMerger
 from repro.core.stream import BGPStream
 
@@ -50,7 +49,5 @@ __all__ = [
     "SQLiteDataInterface",
     "DumpFileReader",
     "SortedRecordMerger",
-    "ParallelConfig",
-    "ParallelStreamEngine",
     "BGPStream",
 ]

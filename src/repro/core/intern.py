@@ -26,8 +26,7 @@ Two layers use interning:
 * **parse time** — :func:`repro.mrt.records.decode_record_body` interns the
   freshly decoded values into the process-wide :func:`default_pool`
   (toggle with :func:`set_parse_interning`, or per-reader via the
-  ``intern=`` knob threaded through the parser and the parallel engine;
-  worker processes each rebuild their own default pool);
+  ``intern=`` knob threaded through the parser);
 * **elem time** — :meth:`repro.core.stream.BGPStream` attaches its pool
   (``BGPStream(interning=...)``) to every record it yields, and
   ``BGPStreamRecord.elems()`` canonicalises the fields of each elem through
@@ -257,8 +256,8 @@ class InternPool:
     def merge(self, other: "InternPool") -> None:
         """Fold another pool's canonicals into this one (bound-respecting).
 
-        Useful to pre-warm a stream pool from a worker's pool after a
-        parallel run; counters of ``other`` are not carried over.
+        Useful to pre-warm a stream pool from another process's pool;
+        counters of ``other`` are not carried over.
         """
         if other is self:
             return  # self-merge is a no-op (and the lock is non-reentrant)
@@ -351,9 +350,8 @@ _parse_interning = True
 
 
 def default_pool() -> InternPool:
-    """The process-wide pool (created lazily; worker processes build their
-    own, which is the "pools rebuilt per worker" composition with the
-    parallel engine)."""
+    """The process-wide pool (created lazily; every process builds its
+    own)."""
     global _default_pool
     pool = _default_pool
     if pool is None:
@@ -388,8 +386,8 @@ def parse_pool(intern: Optional[bool] = None) -> Optional[InternPool]:
     """The pool parse-time code should intern into, or ``None``.
 
     ``intern=None`` follows the global switch; ``True`` / ``False`` force
-    the decision per call site (the ``intern=`` knob of the MRT reader and
-    the parallel engine ends up here).
+    the decision per call site (the ``intern=`` knob of the MRT reader
+    ends up here).
     """
     if intern is None:
         intern = _parse_interning

@@ -32,7 +32,6 @@ from repro.core.interfaces import (
     SQLiteDataInterface,
 )
 from repro.core import profiling
-from repro.core.parallel import ParallelConfig
 from repro.core.record import RecordStatus
 from repro.core.stream import BGPStream
 
@@ -112,18 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="regular expression matched against the AS path")
 
     engine = parser.add_argument_group("engine")
-    engine.add_argument(
-        "--parallel", action="store_true",
-        help="parse dump files concurrently with the parallel batched engine",
-    )
-    engine.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for --parallel (default: CPU count)",
-    )
-    engine.add_argument(
-        "--batch-size", type=int, default=None,
-        help="records per batch for --parallel (default: 1024)",
-    )
+    # The process-pool engine is gone; the frozen ledger still passes these
+    # two (ledger/hist.py:617-620) without checking the exit code, so they
+    # stay parsed, hidden and ignored.
+    engine.add_argument("--parallel", action="store_true", help=argparse.SUPPRESS)
+    engine.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     engine.add_argument(
         "--no-intern", action="store_true",
         help="disable flyweight interning of parsed BGP values "
@@ -169,36 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
 def build_stream(args: argparse.Namespace) -> BGPStream:
     """Construct a configured BGPStream from parsed CLI arguments."""
     interface = _build_interface(args)
-    # BGPStream(interning=False) opts this stream's readers and workers out
-    # of both interning layers; the process-wide switch is left alone (an
-    # embedding application may have configured it deliberately).
-    interning = not getattr(args, "no_intern", False)
-    parallel: Optional[ParallelConfig] = None
-    if not getattr(args, "parallel", False) and (
-        getattr(args, "workers", None) is not None
-        or getattr(args, "batch_size", None) is not None
-    ):
-        raise SystemExit("bgpreader: error: --workers/--batch-size require --parallel")
-    if getattr(args, "parallel", False) and getattr(args, "live", None):
-        raise SystemExit(
-            "bgpreader: error: --parallel parses dump files and does not apply to --live"
-        )
-    if getattr(args, "parallel", False):
-        options = {}
-        if args.workers is not None:
-            options["max_workers"] = args.workers
-        if args.batch_size is not None:
-            options["batch_size"] = args.batch_size
-        try:
-            parallel = ParallelConfig(**options)
-        except ValueError as exc:
-            raise SystemExit(f"bgpreader: error: {exc}")
-    segment_cache = _build_segment_cache(args)
+    # BGPStream(interning=False) opts this stream's readers out of both
+    # interning layers; the process-wide switch is left alone (an embedding
+    # application may have configured it deliberately).
     stream = BGPStream(
         data_interface=interface,
-        parallel=parallel,
-        interning=interning,
-        segment_cache=segment_cache,
+        interning=not args.no_intern,
+        segment_cache=_build_segment_cache(args),
     )
     for project in args.project:
         stream.add_filter("project", project)
@@ -209,7 +178,7 @@ def build_stream(args: argparse.Namespace) -> BGPStream:
     for prefix in args.prefix:
         stream.add_filter("prefix", prefix)
     for name in ("prefix-exact", "prefix-more", "prefix-less", "prefix-any"):
-        for prefix in getattr(args, name.replace("-", "_"), []):
+        for prefix in getattr(args, name.replace("-", "_")):
             stream.add_filter(name, prefix)
     for asn in args.peer_asn:
         stream.add_filter("peer-asn", asn)
@@ -227,13 +196,13 @@ def build_stream(args: argparse.Namespace) -> BGPStream:
 
 def _build_segment_cache(args: argparse.Namespace):
     """The optional persistent decoded-segment cache (``--broker-cache``)."""
-    cache_dir = getattr(args, "broker_cache", None)
-    cache_size = getattr(args, "broker_cache_size", None)
+    cache_dir = args.broker_cache
+    cache_size = args.broker_cache_size
     if cache_dir is None:
         if cache_size is not None:
             raise SystemExit("bgpreader: error: --broker-cache-size requires --broker-cache")
         return None
-    if getattr(args, "live", None):
+    if args.live:
         raise SystemExit(
             "bgpreader: error: --broker-cache caches decoded dump files and "
             "does not apply to --live"
@@ -254,30 +223,22 @@ def _build_interface(args: argparse.Namespace) -> DataInterface:
         bool(args.sqlite),
         bool(args.csv),
         bool(args.single_file),
-        bool(getattr(args, "live", None)),
+        bool(args.live),
     ]
     if sum(sources) != 1:
         raise SystemExit(
             "exactly one of --archive / --sqlite / --csv / --single-file / --live is required"
         )
-    if not getattr(args, "live", None) and (
-        getattr(args, "bmp_topic", None) or getattr(args, "bmp_router", None)
-    ):
+    if not args.live and (args.bmp_topic or args.bmp_router):
         raise SystemExit("bgpreader: error: --bmp-topic/--bmp-router require --live")
-    if not args.archive and (
-        getattr(args, "page_size", None) is not None
-        or getattr(args, "cursor", None) is not None
-    ):
+    if not args.archive and (args.page_size is not None or args.cursor is not None):
         raise SystemExit("bgpreader: error: --page-size/--cursor require --archive")
-    if getattr(args, "live", None):
+    if args.live:
         return _build_live_interface(args)
     if args.archive:
         broker = Broker(archives=[Archive(args.archive)])
         return BrokerDataInterface(
-            broker,
-            max_empty_polls=1,
-            page_size=getattr(args, "page_size", None),
-            cursor=getattr(args, "cursor", None),
+            broker, max_empty_polls=1, page_size=args.page_size, cursor=args.cursor
         )
     if args.sqlite:
         return SQLiteDataInterface(args.sqlite)
@@ -317,9 +278,9 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
     """Run BGPReader, writing lines to ``out``; returns the exit status."""
     from repro import _metrics
 
-    stats = getattr(args, "decode_stats", False)
-    metrics_port = getattr(args, "metrics_port", None)
-    metrics_log = getattr(args, "metrics_log", None)
+    stats = args.decode_stats
+    metrics_port = args.metrics_port
+    metrics_log = args.metrics_log
     metrics_server = None
     metrics_emitter = None
     if metrics_port is not None or metrics_log is not None:

@@ -199,8 +199,8 @@ class BGPStreamRecord:
     Slotted like every other hot object of the pipeline.  ``intern_pool``
     is transport, not identity: the stream attaches its flyweight pool here
     so :meth:`elems` can canonicalise elem fields (and it is excluded from
-    equality/repr and dropped on pickling — worker processes rebuild their
-    own pools).
+    equality/repr and dropped on pickling — every process builds its own
+    pool).
     """
 
     project: str

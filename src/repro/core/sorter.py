@@ -156,12 +156,9 @@ class DumpFileReader:
             reader.close()
 
         if previous is not None:
-            if previous.dump_position != DumpPosition.START:
-                previous.dump_position = DumpPosition.END
-            else:
-                # A single-record dump is both start and end; END is the
-                # more useful marker for collation, so prefer it.
-                previous.dump_position = DumpPosition.END
+            # A single-record dump is both start and end; END is the more
+            # useful marker for collation, so it wins.
+            previous.dump_position = DumpPosition.END
             yield previous
         if not emitted_any:
             yield BGPStreamRecord(
@@ -217,14 +214,6 @@ class SortedRecordMerger:
         for subset in self.subsets():
             yield from self._merge_subset(subset)
 
-    def iter_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[BGPStreamRecord]]:
-        """Iterate the merged stream in timestamp-ordered record batches.
-
-        Flattening the batches reproduces ``iter(self)`` record for record;
-        batch boundaries carry no meaning (a batch may span subsets).
-        """
-        yield from batch_records(self, batch_size)
-
     def _merge_subset(self, subset: Sequence[DumpFileSpec]) -> Iterator[BGPStreamRecord]:
         """Multi-way merge of the (already time-ordered) files of one subset."""
         if len(subset) == 1:
@@ -250,8 +239,8 @@ def batch_records(
 ) -> Iterator[List[BGPStreamRecord]]:
     """Group a record iterable into lists of up to ``batch_size``.
 
-    The single accumulate-and-flush loop behind every batched API (sorter,
-    parallel engine, stream): the trailing partial batch is always flushed.
+    The single accumulate-and-flush loop behind every batched API: the
+    trailing partial batch is always flushed.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -273,9 +262,7 @@ def merge_record_iterators(
     Repeatedly extracts the record with the oldest timestamp among the
     iterator heads (§3.3.4).  Equal timestamps resolve by iterator position
     and then by a monotonic sequence counter, so the merged order is stable
-    and reproducible across runs.  Both the sequential sorter and the
-    parallel engine (:mod:`repro.core.parallel`) merge through this function,
-    which is what guarantees the two paths emit identical record sequences.
+    and reproducible across runs.
     """
     sequence = count()
     heap: List[tuple] = []

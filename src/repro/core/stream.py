@@ -28,23 +28,17 @@ Three idioms are supported:
   (or ``stream.elems()`` to iterate matching elems directly).
 
 * batched iteration, which delivers timestamp-ordered *lists* of records and
-  amortises per-record overhead — the natural consumer of the parallel
-  engine (:mod:`repro.core.parallel`)::
+  amortises per-record overhead for bin-oriented consumers such as
+  :class:`~repro.corsaro.pipeline.BGPCorsaro`::
 
-      from repro.core.parallel import ParallelConfig
-
-      stream = BGPStream(data_interface=interface, parallel=ParallelConfig())
+      stream = BGPStream(data_interface=interface)
       stream.add_interval_filter(t0, t1)
       for batch in stream.records_batched(batch_size=1024):
           for rec in batch:
               ...
 
-  ``records_batched()`` works on any stream (without ``parallel`` it batches
-  the sequential sorted merge); with a :class:`ParallelConfig` the dump
-  files of each overlapping subset are parsed concurrently in a process
-  pool.  Both modes emit exactly the same record sequence as the
-  sequential ``records()`` path, which remains the byte-identical
-  reference.
+  Flattening the batches gives exactly the record sequence of
+  ``records()``.
 
 All three idioms also run in **live mode**: with a live data interface
 (``BGPStream(live={"broker": message_broker})``, or
@@ -56,8 +50,8 @@ live window so bin-oriented consumers terminate deterministically.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro import _metrics
 from repro.bgp.attributes import LazyPathAttributes
@@ -75,9 +69,6 @@ from repro.core.record import BGPStreamRecord, RecordStatus
 from repro.core.sorter import DEFAULT_BATCH_SIZE, SortedRecordMerger, batch_records
 from repro.mrt.records import BGP4MPMessage, RIBPrefixRecord
 
-if TYPE_CHECKING:
-    from repro.core.parallel import ParallelConfig
-
 
 class BGPStream:
     """A configurable, sorted stream of BGP measurement data.
@@ -93,13 +84,11 @@ class BGPStream:
       for this stream's reads (isolation would otherwise leak);
     * ``False`` / ``None`` — no interning for this stream: neither the elem
       pipeline nor the parse-time dedup of the dump files it reads (the
-      ``intern=False`` knob is threaded through the sequential readers and,
-      unless the :class:`~repro.core.parallel.ParallelConfig` pins its own
-      ``intern``, the parallel workers).  This is what ``bgpreader
-      --no-intern`` configures.  Other streams and direct
-      :func:`repro.mrt.parser.read_dump` calls follow the process-wide
-      switch (:func:`repro.core.intern.set_parse_interning`), which this
-      knob never touches.
+      ``intern=False`` knob is threaded through the dump-file readers).
+      This is what ``bgpreader --no-intern`` configures.  Other streams
+      and direct :func:`repro.mrt.parser.read_dump` calls follow the
+      process-wide switch (:func:`repro.core.intern.set_parse_interning`),
+      which this knob never touches.
 
     Attribute blocks are always recorded as zero-copy slices and decoded on
     first read (:mod:`repro.bgp.attributes`), so filtered-out elems never
@@ -112,7 +101,6 @@ class BGPStream:
         self,
         data_interface: Union[DataInterface, str, None] = None,
         filters: Optional[FilterSet] = None,
-        parallel: Union["ParallelConfig", bool, None] = None,
         interning: Union[bool, InternPool, None] = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
@@ -135,24 +123,16 @@ class BGPStream:
         ``cursor``, poll bounds); the stream is otherwise the one
         ``data_interface=BrokerDataInterface(broker)`` builds.
 
-        ``parallel=True`` (or a :class:`~repro.core.parallel.ParallelConfig`
-        to tune it) opts in to the parallel batched engine.
-
         ``segment_cache`` (a :class:`repro.broker.segments.SegmentCache`)
-        makes every reader this stream opens — sequential or parallel —
-        replay decoded segments of unchanged dump files from disk instead
-        of re-decoding MRT, and persist newly decoded files for the next
-        run."""
+        makes every dump-file reader this stream opens replay decoded
+        segments of unchanged dump files from disk instead of re-decoding
+        MRT, and persist newly decoded files for the next run."""
         self.filters = filters or FilterSet()
         if broker is not None:
             if data_interface is not None or live is not None:
                 raise ValueError("pass either broker= or data_interface/live, not both")
             data_interface = BrokerDataInterface(broker, **(interface_options or {}))
             interface_options = None
-        if parallel is True:
-            from repro.core.parallel import ParallelConfig
-
-            parallel = ParallelConfig()
         if data_interface is not None and live is not None:
             raise ValueError("pass either data_interface or live, not both")
         if live is not None:
@@ -172,7 +152,6 @@ class BGPStream:
         elif interface_options:
             raise ValueError("interface_options require a data_interface name")
         self._interface = data_interface
-        self._parallel = parallel or None
         self._segment_cache = segment_cache
         self._eager = eager
         self._started = False
@@ -207,13 +186,6 @@ class BGPStream:
     def is_live(self) -> bool:
         """True when the stream reads a live feed rather than dump files."""
         return getattr(self._interface, "yields_records", False)
-
-    def set_parallel(self, config: Optional["ParallelConfig"]) -> "BGPStream":
-        """Enable (or disable, with ``None``) the parallel batched engine."""
-        if self._started:
-            raise RuntimeError("cannot change the parallel config after start()")
-        self._parallel = config
-        return self
 
     def set_interning(self, interning: Union[bool, InternPool, None]) -> "BGPStream":
         """Change the elem-pipeline intern pool (before :meth:`start`)."""
@@ -255,11 +227,6 @@ class BGPStream:
                 "no data interface configured; pass one to BGPStream() or "
                 "call set_data_interface()"
             )
-        if self.is_live and self._parallel is not None:
-            raise RuntimeError(
-                "the parallel engine parses dump files and does not apply to "
-                "a live stream; drop parallel= or the live interface"
-            )
         if self._started:
             return self
         self._started = True
@@ -280,78 +247,31 @@ class BGPStream:
             return False
         return None
 
-    def _generate_records(self) -> Iterator[BGPStreamRecord]:
-        assert self._interface is not None
+    def _windows(self) -> Iterator[Iterator[BGPStreamRecord]]:
+        """One filtered, time-sorted record iterator per live poll or per
+        meta-data window of dump files.
+
+        :meth:`records` chains these and :meth:`records_batched` re-batches
+        each one on its own, so a live consumer never waits on a half-full
+        batch while the feed is quiet.
+        """
+        interface = self._interface
+        assert interface is not None
         if self.is_live:
-            yield from self._generate_live_records()
+            # The live interface already yields ready-made records.
+            for record_batch in interface.record_batches(self.filters):
+                yield self._filtered(record_batch)
             return
-        if self._parallel is not None:
-            for batch in self._generate_batches(self._parallel.batch_size):
-                yield from batch
-            return
-        for file_batch in self._interface.batches(self.filters):
-            yield from self._filtered(
-                iter(
-                    SortedRecordMerger(
-                        file_batch,
-                        intern=self._parse_intern,
-                        segment_cache=self._segment_cache,
-                    )
+        for file_batch in interface.batches(self.filters):
+            yield self._filtered(
+                SortedRecordMerger(
+                    file_batch,
+                    intern=self._parse_intern,
+                    segment_cache=self._segment_cache,
                 )
             )
 
-    def _generate_live_records(self) -> Iterator[BGPStreamRecord]:
-        """Live mode: the interface already yields ready-made records."""
-        assert isinstance(self._interface, LiveDataInterface) or getattr(
-            self._interface, "yields_records", False
-        )
-        for record_batch in self._interface.record_batches(self.filters):
-            yield from self._filtered(iter(record_batch))
-
-    def _generate_batches(self, batch_size: int) -> Iterator[List[BGPStreamRecord]]:
-        """Filtered, timestamp-ordered record batches (shared by both modes)."""
-        assert self._interface is not None
-        if self.is_live:
-            # Re-batch per poll so a live consumer never waits on a
-            # half-full batch while the feed is quiet.
-            for record_batch in self._interface.record_batches(self.filters):
-                yield from batch_records(self._filtered(iter(record_batch)), batch_size)
-            return
-        engine = None
-        if self._parallel is not None:
-            from repro.core.parallel import ParallelStreamEngine
-
-            config = self._parallel
-            if config.intern is None and self._parse_intern is not None:
-                # The stream opted out of interning and the config does not
-                # pin its own choice: the workers inherit the opt-out.
-                config = replace(config, intern=self._parse_intern)
-            if config.segment_cache is None and self._segment_cache is not None:
-                # The workers inherit the stream's persistent segment cache.
-                config = replace(config, segment_cache=self._segment_cache)
-            # One engine (and one worker pool) for the whole stream; per
-            # meta-data-window pools would pay startup cost on every window.
-            engine = ParallelStreamEngine(config)
-        try:
-            for file_batch in self._interface.batches(self.filters):
-                if engine is not None:
-                    source = engine.iter_records(file_batch)
-                else:
-                    source = iter(
-                        SortedRecordMerger(
-                            file_batch,
-                            intern=self._parse_intern,
-                            segment_cache=self._segment_cache,
-                        )
-                    )
-                # Re-batching happens after filtering, and per meta-data
-                # window, so live consumers never wait on a half-full batch.
-                yield from batch_records(self._filtered(source), batch_size)
-        finally:
-            if engine is not None:
-                engine.close()
-
-    def _filtered(self, records: Iterator[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
+    def _filtered(self, records: Iterable[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
         pool = self.intern_pool
         eager = self._eager
         for record in records:
@@ -381,7 +301,9 @@ class BGPStream:
         if not self._started:
             self.start()
         if self._record_iter is None:
-            self._record_iter = self._generate_records()
+            # chain() flattens the windows in C: no generator frame of this
+            # module sits between a window's filter loop and the consumer.
+            self._record_iter = chain.from_iterable(self._windows())
         return next(self._record_iter, None)
 
     def records(self) -> Iterator[BGPStreamRecord]:
@@ -398,10 +320,8 @@ class BGPStream:
         """Iterate the stream as timestamp-ordered record batches.
 
         Flattening the batches reproduces :meth:`records` record for record
-        (same order, same statuses); batch boundaries carry no meaning.  With
-        a :class:`~repro.core.parallel.ParallelConfig` configured, the dump
-        files behind each batch are parsed concurrently.  Use either this or
-        the record-at-a-time API on a given stream, not both.
+        (same order, same statuses); batch boundaries carry no meaning.  Use
+        either this or the record-at-a-time API on a given stream, not both.
         """
         if not self._started:
             self.start()
@@ -411,13 +331,13 @@ class BGPStream:
                 "or called twice on the same stream"
             )
         if batch_size is None:
-            batch_size = (
-                self._parallel.batch_size if self._parallel is not None else DEFAULT_BATCH_SIZE
-            )
+            batch_size = DEFAULT_BATCH_SIZE
         elif batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self._batched_consumer = True
-        return self._generate_batches(batch_size)
+        return chain.from_iterable(
+            batch_records(window, batch_size) for window in self._windows()
+        )
 
     def elems(self) -> Iterator[Tuple[BGPStreamRecord, BGPElem]]:
         """Iterate ``(record, elem)`` pairs matching the elem-level filters."""

@@ -38,10 +38,8 @@ class BGPCorsaro:
         batch_size: Optional[int] = None,
     ) -> None:
         """``batch_size`` switches the driver to consuming the stream through
-        ``BGPStream.records_batched()`` — the plugin pipeline then rides the
-        batched (and, when the stream is configured with a
-        :class:`~repro.core.parallel.ParallelConfig`, parallel) engine while
-        seeing the exact same record sequence and bin boundaries."""
+        ``BGPStream.records_batched()``; the plugins see the exact same
+        record sequence and bin boundaries."""
         if bin_size <= 0:
             raise ValueError("bin_size must be positive")
         if batch_size is not None and batch_size <= 0:

@@ -8,21 +8,19 @@ body (``record.is_valid`` is False) instead of aborting the whole dump.  A
 file that cannot be opened at all raises :class:`MRTParseError`; the stream
 layer converts that into a not-valid BGPStream record.
 
-Three throughput features support the parallel stream engine
-(:mod:`repro.core.parallel`):
+Two throughput features:
 
 * a precompiled :class:`struct.Struct` fast path for the 12-byte common
-  header, used by both the streaming scan and the bulk scan;
+  header, used by both the streaming scan and the bulk scan; and
 * a **bulk scan**: a dump of plausible size is read (and, for gzip dumps,
   decompressed) into one in-memory buffer with a single read and parsed with
   zero per-record I/O.  A gzip stream that does not decompress cleanly falls
   back to the classic streaming scan over the same bytes, preserving
-  corruption-signalling behaviour exactly; and
-* a per-file **header index** (every record's offset and pre-decoded
-  header), keyed by the file's ``(size, mtime_ns)`` signature and stored
-  after any clean bulk scan so re-reads skip header re-decoding.  Decoded
-  records are not kept in memory; reuse across runs is the persistent
-  :class:`repro.broker.segments.SegmentCache`'s job.
+  corruption-signalling behaviour exactly.
+
+Nothing is kept once a file has been read: the reader holds no more than
+the open files, and reuse across runs is the persistent
+:class:`repro.broker.segments.SegmentCache`'s job.
 """
 
 from __future__ import annotations
@@ -31,10 +29,7 @@ import gzip
 import io
 import os
 import struct
-import threading
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import IO, Iterator, List, Optional, Tuple
 
 from repro import _profiling as profiling
@@ -66,42 +61,13 @@ class MRTParseError(Exception):
     """Raised when a dump file cannot be opened or read at all."""
 
 
-# ---------------------------------------------------------------------------
-# Per-file header index cache
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    """Location and pre-decoded header of one record inside a dump buffer."""
-
-    offset: int  # offset of the record *body* within the (decompressed) buffer
-    timestamp: int
-    mrt_type: int
-    subtype: int
-    body_length: int
-
-
-@dataclass
-class DumpIndex:
-    """The cached scan of one cleanly-read dump file."""
-
-    signature: Tuple[int, int]  # (st_size, st_mtime_ns) at scan time
-    entries: List[IndexEntry]
-
-
-_CACHE_LOCK = threading.Lock()
-_INDEX_CACHE: "OrderedDict[str, DumpIndex]" = OrderedDict()
-_INDEX_CACHE_MAX = 512
-
-
 def file_signature(path: str) -> Optional[Tuple[int, int]]:
     """The ``(st_size, st_mtime_ns)`` identity of a dump file's content.
 
-    Both the in-memory index cache and the persistent decoded-segment cache
-    (:mod:`repro.broker.segments`) key on this: a file whose signature
-    changed is a different file, and anything cached under the old
-    signature must miss.  Returns None when the file cannot be stat'ed.
+    The persistent decoded-segment cache (:mod:`repro.broker.segments`) keys
+    on this: a file whose signature changed is a different file, and
+    anything cached under the old signature must miss.  Returns None when
+    the file cannot be stat'ed.
     """
     try:
         stat = os.stat(path)
@@ -110,39 +76,9 @@ def file_signature(path: str) -> Optional[Tuple[int, int]]:
     return (stat.st_size, stat.st_mtime_ns)
 
 
-#: Backwards-compatible private alias (pre-PR 8 name).
-_file_signature = file_signature
-
-
-def cached_index(path: str) -> Optional[DumpIndex]:
-    """The cached index for ``path``, if its signature is still valid."""
-    with _CACHE_LOCK:
-        index = _INDEX_CACHE.get(path)
-        if index is None:
-            return None
-        if index.signature != _file_signature(path):
-            del _INDEX_CACHE[path]
-            return None
-        _INDEX_CACHE.move_to_end(path)
-        return index
-
-
-def store_index(path: str, index: DumpIndex) -> None:
-    with _CACHE_LOCK:
-        _INDEX_CACHE[path] = index
-        _INDEX_CACHE.move_to_end(path)
-        while len(_INDEX_CACHE) > _INDEX_CACHE_MAX:
-            _INDEX_CACHE.popitem(last=False)
-
-
 def clear_index_cache() -> None:
-    with _CACHE_LOCK:
-        _INDEX_CACHE.clear()
-
-
-def index_cache_size() -> int:
-    with _CACHE_LOCK:
-        return len(_INDEX_CACHE)
+    """No-op: the header index is gone.  Kept importable only because the
+    frozen ledger calls it by name (``ledger/hist.py:293``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +93,9 @@ class MRTDumpReader:
     header or body) yields one final record flagged as invalid and then
     stops, matching the "signal a corrupted read" extension of libBGPdump.
 
-    ``use_index=False`` disables the header index in both directions (the
-    read neither consults nor populates it).
+    ``use_index`` is accepted and ignored: the header index is gone and the
+    argument survives only because the frozen ledger passes it
+    (``ledger/hist.py:440``).
 
     ``intern`` controls parse-time flyweight interning of the decoded values
     (AS paths, community sets, prefixes, peer/address strings — see
@@ -177,7 +114,6 @@ class MRTDumpReader:
         intern: Optional[bool] = None,
     ) -> None:
         self.path = path
-        self.use_index = use_index
         self.intern = intern
         self._raw: Optional[IO[bytes]] = None
         self._handle: Optional[IO[bytes]] = None
@@ -222,12 +158,15 @@ class MRTDumpReader:
     def __iter__(self) -> Iterator[MRTRecord]:
         if self._handle is None:
             self.open()
-        assert self._handle is not None
-
-        index = cached_index(self.path) if self.use_index else None
-        signature = _file_signature(self.path)
-        if signature is not None and signature[0] <= BULK_SCAN_MAX:
-            assert self._raw is not None
+        assert self._handle is not None and self._raw is not None
+        # Size the gate from the open descriptor, not the path: when a
+        # collector rotates the file after open(), the gate and the bytes
+        # read below still belong to the same inode.
+        try:
+            bulk = os.fstat(self._raw.fileno()).st_size <= BULK_SCAN_MAX
+        except OSError:
+            bulk = False
+        if bulk:
             try:
                 self._raw.seek(0)
                 blob = self._raw.read()
@@ -245,7 +184,7 @@ class MRTDumpReader:
                     return
             else:
                 data = blob
-            yield from self._iter_buffer(data, signature, index)
+            yield from self._iter_buffer(data)
             return
 
         yield from self._iter_streaming(self._handle)
@@ -291,35 +230,20 @@ class MRTDumpReader:
             yield MRTRecord(header, body)
 
     # The bulk scan: the whole (decompressed) dump parsed from one buffer.
-    # A valid header index skips header decoding; a clean scan populates it.
-    def _iter_buffer(
-        self, data: bytes, signature: Tuple[int, int], index: Optional[DumpIndex]
-    ) -> Iterator[MRTRecord]:
+    def _iter_buffer(self, data: bytes) -> Iterator[MRTRecord]:
         # One memoryview over the whole buffer: every header peek, body
         # extraction and deferred attribute slice below is a zero-copy view
         # of this one allocation.
         view = memoryview(data)
         decode_body = make_body_decoder(self.intern)
         counters = profiling.counters
-        if index is not None and self._buffer_matches_index(data, index):
-            for entry in index.entries:
-                header = MRTHeader(entry.timestamp, MRTType(entry.mrt_type), entry.subtype)
-                body = view[entry.offset : entry.offset + entry.body_length]
-                yield MRTRecord(header, decode_body(header, entry.subtype, body))
-            if counters is not None:
-                counters.records_scanned += len(index.entries)
-                counters.bytes_viewed += len(data)
-            return
-
         unpack_from = _HEADER_STRUCT.unpack_from
         size = len(data)
         offset = 0
-        entries: List[IndexEntry] = []
-        clean = True
+        scanned = 0
         while offset < size:
             if offset + MRT_HEADER_LEN > size:
                 yield _corrupt("truncated MRT header at end of file", data[offset:])
-                clean = False
                 break
             timestamp, raw_type, subtype, body_length = unpack_from(data, offset)
             try:
@@ -327,37 +251,23 @@ class MRTDumpReader:
             except ValueError as exc:
                 header_bytes = data[offset : offset + MRT_HEADER_LEN]
                 yield _corrupt(f"bad MRT header: {exc}", header_bytes)
-                clean = False
                 break
             if body_length > MAX_RECORD_LEN:
                 header_bytes = data[offset : offset + MRT_HEADER_LEN]
                 yield _corrupt(f"implausible record length {body_length}", header_bytes)
-                clean = False
                 break
             body_offset = offset + MRT_HEADER_LEN
             if body_offset + body_length > size:
                 body_bytes = data[body_offset:]
                 yield MRTRecord(header, CorruptRecord("truncated record body", body_bytes))
-                clean = False
                 break
             body_view = view[body_offset : body_offset + body_length]
-            record = MRTRecord(header, decode_body(header, subtype, body_view))
-            entries.append(IndexEntry(body_offset, timestamp, raw_type, subtype, body_length))
-            yield record
+            scanned += 1
+            yield MRTRecord(header, decode_body(header, subtype, body_view))
             offset = body_offset + body_length
         if counters is not None:
-            counters.records_scanned += len(entries)
+            counters.records_scanned += scanned
             counters.bytes_viewed += offset
-        if clean and self.use_index:
-            store_index(self.path, DumpIndex(signature, entries))
-
-    @staticmethod
-    def _buffer_matches_index(data: bytes, index: DumpIndex) -> bool:
-        """Sanity check that the index describes exactly this buffer."""
-        if not index.entries:
-            return len(data) == 0
-        last = index.entries[-1]
-        return last.offset + last.body_length == len(data)
 
 
 def _decompress_bounded(blob: bytes, limit: int) -> Optional[bytes]:
@@ -374,13 +284,9 @@ def _decompress_bounded(blob: bytes, limit: int) -> Optional[bytes]:
         return None
 
 
-def read_dump(
-    path: str,
-    use_index: bool = True,
-    intern: Optional[bool] = None,
-) -> List[MRTRecord]:
+def read_dump(path: str, intern: Optional[bool] = None) -> List[MRTRecord]:
     """Read an entire dump file into a list of records."""
-    with MRTDumpReader(path, use_index=use_index, intern=intern) as reader:
+    with MRTDumpReader(path, intern=intern) as reader:
         return list(reader)
 
 

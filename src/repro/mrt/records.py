@@ -360,7 +360,7 @@ def decode_record_body(
     so the duplicates a RIB dump repeats millions of times become garbage
     immediately instead of living as long as the record does.  ``intern``
     follows the process-wide switch when ``None`` and can force the decision
-    per call (the MRT reader and the parallel engine thread it through).
+    per call (the MRT reader threads it through).
 
     Path-attribute value construction is deferred to first read; with
     interning on, only attributes that actually materialise pay the pool

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Union
 from repro.core.elem import BGPElem as _CoreElem
 from repro.core.filters import FilterSet
 from repro.core.interfaces import DataInterface, LiveDataInterface
-from repro.core.parallel import ParallelConfig
 from repro.core.record import BGPStreamRecord as _CoreRecord
 from repro.core.stream import BGPStream as _CoreStream
 
@@ -136,12 +135,6 @@ class BGPRecord:
 class BGPStream:
     """The stream object of the bindings.
 
-    Passing ``parallel=ParallelConfig(...)`` (or calling
-    :meth:`set_parallel` before :meth:`start`) runs the Listing-1 idiom
-    unchanged on top of the parallel batched engine: dump files are parsed
-    concurrently while ``get_next_record()`` keeps handing out the exact
-    record sequence of the sequential reference path.
-
     ``data_interface`` also accepts a registry name (``"broker"``,
     ``"csvfile"``, ``"sqlite"``, ``"singlefile"``, ``"kafka"``) together
     with ``interface_options``, matching the paper's named-interface API;
@@ -154,7 +147,6 @@ class BGPStream:
     def __init__(
         self,
         data_interface: Union[DataInterface, str, None] = None,
-        parallel: Optional[ParallelConfig] = None,
         interning: object = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
@@ -169,7 +161,6 @@ class BGPStream:
                 )
         self._stream = _CoreStream(
             data_interface=interface,
-            parallel=parallel,
             interning=interning,
             live=live,
             interface_options=interface_options,
@@ -183,9 +174,6 @@ class BGPStream:
         ``prefix-more``, ``prefix-less`` and ``prefix-any``.
         """
         self._stream.add_filter(name, value)
-
-    def set_parallel(self, config: Optional[ParallelConfig]) -> None:
-        self._stream.set_parallel(config)
 
     def add_interval_filter(self, start: int, end: int) -> None:
         end_value: Optional[int] = None if end in (-1, None) else end

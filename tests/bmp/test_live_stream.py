@@ -529,11 +529,15 @@ class TestBoundedWindows:
         assert window_times(1001, 3000, max_empty_polls=1) == [2000, 2001, 2002, 2003]
 
     def test_batched_api_works_live(self):
-        broker = MessageBroker()
-        publish_sequence(broker, update_sequence())
-        stream = live_stream(broker)
-        records = [r for batch in stream.records_batched(2) for r in batch]
+        def feed():
+            broker = MessageBroker()
+            publish_sequence(broker, update_sequence())
+            return live_stream(broker)
+
+        records = [r for batch in feed().records_batched(2) for r in batch]
         assert [r.time for r in records] == [1000, 1010, 1020, 1030]
+        # Flattened batches are the records() stream, record for record.
+        assert [r.to_ascii() for r in records] == [r.to_ascii() for r in feed().records()]
 
     def test_corrupt_frame_surfaces_as_invalid_record(self):
         broker = MessageBroker()
@@ -579,16 +583,6 @@ class TestStreamConfiguration:
     def test_live_and_data_interface_conflict(self):
         with pytest.raises(ValueError):
             BGPStream(data_interface="kafka", live={"broker": MessageBroker()})
-
-    def test_live_rejects_parallel_engine(self):
-        from repro.core.parallel import ParallelConfig
-
-        stream = BGPStream(
-            live={"broker": MessageBroker(), "max_empty_polls": 1},
-            parallel=ParallelConfig(max_workers=2),
-        )
-        with pytest.raises(RuntimeError, match="parallel"):
-            stream.start()
 
     def test_unknown_interface_name(self):
         with pytest.raises(ValueError, match="unknown data interface"):
@@ -700,10 +694,6 @@ class TestBGPReaderLive:
     def test_bmp_knobs_require_live(self, tmp_path):
         with pytest.raises(SystemExit, match="--live"):
             self.run_reader(["--archive", str(tmp_path), "--bmp-topic", "t"])
-
-    def test_live_conflicts_with_parallel(self, tmp_path):
-        with pytest.raises(SystemExit, match="--parallel"):
-            self.run_reader(["--live", self.feed_file(tmp_path), "--parallel"])
 
 
 class TestLiveCorsaro:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
@@ -170,17 +169,17 @@ class TestEviction:
 
 
 class TestProcessBoundaries:
-    def test_pickles_by_configuration(self, tmp_path, broker_archive):
-        cache = SegmentCache(str(tmp_path / "cache"), max_bytes=12345)
+    def test_caches_are_shared_by_path(self, tmp_path, broker_archive):
+        """Two independently constructed caches on one directory (as two
+        processes would open them): the second hits what the first stored."""
+        root = str(tmp_path / "cache")
         spec = _specs_for(broker_archive)[0]
-        list(DumpFileReader(spec, segment_cache=cache))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.root == cache.root and clone.max_bytes == 12345
-        # The clone sees the same on-disk segments.
-        assert [_flatten(r) for r in DumpFileReader(spec, segment_cache=clone)] == [
+        list(DumpFileReader(spec, segment_cache=SegmentCache(root)))
+        second = SegmentCache(root)
+        assert [_flatten(r) for r in DumpFileReader(spec, segment_cache=second)] == [
             _flatten(r) for r in DumpFileReader(spec)
         ]
-        assert clone.hits == 1
+        assert second.hits == 1 and second.misses == 0
 
 
 class TestProfilingCounters:

@@ -256,13 +256,22 @@ class TestScenarioGeneration:
 @pytest.mark.parametrize("module", ["repro.core.reader", "repro.core.stream", "repro.gateway.cli"])
 def test_read_path_imports_do_not_load_the_simulator(module):
     """The read path reaches ``repro.collectors`` for the archive layout only;
-    the simulator (and its networkx dependency) loads on first use."""
+    the simulator (and its networkx dependency) loads on first use.  The
+    historical reader is one process and no sockets: it loads none of the
+    pool/IPC machinery either (the gateway does — asyncio needs it)."""
+    heavy = (
+        ()
+        if module == "repro.gateway.cli"
+        else ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
+    )
     probe = (
         f"import sys, {module}\n"
         "loaded = [m for m in sys.modules if m == 'networkx' or m in "
         "{'repro.collectors.' + n for n in "
         "('topology', 'routing', 'scenario', 'events', 'collector')}]\n"
         "assert not loaded, loaded\n"
+        f"heavy = [m for m in {heavy!r} if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
         "from repro.collectors import build_scenario\n"
         "assert 'networkx' in sys.modules\n"
     )

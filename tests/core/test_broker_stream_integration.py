@@ -54,17 +54,6 @@ class TestPaginatedInterface:
 
 
 class TestBrokerShortcut:
-    def test_broker_kwarg_defaults_to_sequential(self, core_archive):
-        """``broker=`` picks the source, not the engine: parallel stays opt-in."""
-        stream = BGPStream(broker=Broker(archives=[core_archive]))
-        assert stream._parallel is None
-        stream = BGPStream(broker=Broker(archives=[core_archive]), parallel=True)
-        assert stream._parallel is not None
-
-    def test_parallel_false_forces_sequential(self, core_archive):
-        stream = BGPStream(broker=Broker(archives=[core_archive]), parallel=False)
-        assert stream._parallel is None
-
     def test_broker_kwarg_excludes_other_interfaces(self, core_archive):
         with pytest.raises(ValueError):
             BGPStream(broker=Broker(archives=[core_archive]), data_interface="csvfile")

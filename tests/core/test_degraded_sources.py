@@ -1,10 +1,10 @@
-"""Degraded dump sources surfaced end-to-end, in sequential and parallel modes.
+"""Degraded dump sources surfaced end-to-end, record by record and batched.
 
 The paper's error-checking extension (§3.3.3) requires that unreadable,
 empty and corrupted dumps are *signalled* to the user rather than silently
 dropped or fatally raised.  These tests drive all three degradations through
 the full :class:`repro.core.stream.BGPStream` facade and the PyBGPStream
-Listing-1 idiom, with and without the parallel batched engine.
+Listing-1 idiom, through ``records()`` and ``records_batched()``.
 """
 
 from __future__ import annotations
@@ -20,19 +20,10 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.core.interfaces import CSVFileDataInterface
-from repro.core.parallel import ParallelConfig
 from repro.core.record import RecordStatus
 from repro.core.stream import BGPStream
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import corrupt_file, write_updates_dump
-
-#: The stream modes every assertion runs under: the sequential sorter, the
-#: engine parsing in-process ("serial") and the engine's 2-worker pool.
-MODES = {
-    "sequential": None,
-    "parallel-serial": ParallelConfig(max_workers=1, batch_size=4),
-    "parallel-thread": ParallelConfig(max_workers=2, batch_size=4),
-}
 
 
 def _write_updates(path, timestamps, peer_asn=64500):
@@ -82,11 +73,8 @@ def _expected_statuses(records):
     return by_status
 
 
-@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
-def test_all_degradations_surface_through_the_stream(degraded_csv, mode):
-    stream = BGPStream(
-        data_interface=CSVFileDataInterface(degraded_csv), parallel=MODES[mode]
-    )
+def test_all_degradations_surface_through_the_stream(degraded_csv):
+    stream = BGPStream(data_interface=CSVFileDataInterface(degraded_csv))
     records = list(stream.records())
     by_status = _expected_statuses(records)
 
@@ -106,25 +94,11 @@ def test_all_degradations_surface_through_the_stream(degraded_csv, mode):
         assert all(list(r.elems()) == [] for r in by_status[status])
 
 
-@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
-def test_parallel_and_sequential_agree_on_degraded_sources(degraded_csv, mode):
-    def run(parallel):
-        stream = BGPStream(
-            data_interface=CSVFileDataInterface(degraded_csv), parallel=parallel
-        )
-        return [
-            (r.time, r.collector, str(r.status), str(r.dump_position))
-            for r in stream.records()
-        ]
+def test_records_batched_surfaces_degradations(degraded_csv):
+    def key(record):
+        return (record.time, record.collector, str(record.status), str(record.dump_position))
 
-    assert run(MODES[mode]) == run(None)
-
-
-@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
-def test_records_batched_surfaces_degradations(degraded_csv, mode):
-    stream = BGPStream(
-        data_interface=CSVFileDataInterface(degraded_csv), parallel=MODES[mode]
-    )
+    stream = BGPStream(data_interface=CSVFileDataInterface(degraded_csv))
     batches = list(stream.records_batched(batch_size=3))
     assert all(len(batch) <= 3 for batch in batches)
     statuses = {r.status for batch in batches for r in batch}
@@ -134,14 +108,16 @@ def test_records_batched_surfaces_degradations(degraded_csv, mode):
         RecordStatus.EMPTY_SOURCE,
         RecordStatus.CORRUPTED_RECORD,
     }
+    # ...and the batched API delivers them exactly where records() does.
+    reference = BGPStream(data_interface=CSVFileDataInterface(degraded_csv)).records()
+    assert [key(r) for batch in batches for r in batch] == [key(r) for r in reference]
 
 
-@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
-def test_listing1_idiom_sees_degraded_statuses(degraded_csv, mode):
+def test_listing1_idiom_sees_degraded_statuses(degraded_csv):
     """The paper's Listing-1 loop observes every degradation status."""
     pybgpstream.set_default_data_interface(CSVFileDataInterface(degraded_csv))
     try:
-        stream = pybgpstream.BGPStream(parallel=MODES[mode])
+        stream = pybgpstream.BGPStream()
         stream.add_interval_filter(0, 1000)
         stream.start()
         rec = pybgpstream.BGPRecord()

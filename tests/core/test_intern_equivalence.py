@@ -3,7 +3,7 @@
 For a randomized record stream, the elems produced with flyweight interning
 enabled must be *identical* — as dataclass values, as ASCII lines and as
 ``field_dict()`` views — to the elems produced with interning fully
-disabled, in both the sequential and the parallel engine.  Interning may
+disabled, record by record and through the batched API.  Interning may
 only change object identity and memory behaviour, never semantics.
 """
 
@@ -23,9 +23,7 @@ from repro.broker.broker import Broker
 from repro.collectors.archive import Archive
 from repro.core.interfaces import BrokerDataInterface
 from repro.core.intern import parse_interning, reset_default_pool
-from repro.core.parallel import ParallelConfig
 from repro.core.stream import BGPStream
-from repro.mrt.parser import clear_index_cache
 from repro.mrt.records import BGP4MPMessage, BGP4MPStateChange, PeerEntry
 from repro.mrt.writer import write_rib_dump, write_updates_dump
 
@@ -119,22 +117,24 @@ def _build_archive(tmp_path, seed: int) -> Archive:
     return archive
 
 
-def _consume(archive, *, interning, parallel=None):
+def _consume(archive, *, interning, batched=False):
     """Records + elems of a full pass, rendered every observable way."""
-    clear_index_cache()
     reset_default_pool()
     with parse_interning(bool(interning)):
         stream = BGPStream(
             data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1),
-            parallel=parallel,
             interning=interning,
         )
         stream.add_interval_filter(900, 2500)
+        if batched:
+            records = (r for batch in stream.records_batched(batch_size=64) for r in batch)
+        else:
+            records = stream.records()
         record_lines = []
         elems = []
         elem_lines = []
         field_dicts = []
-        for record in stream.records():
+        for record in records:
             record_lines.append(record.to_ascii())
             for elem in record.elems():
                 elems.append(elem)
@@ -157,25 +157,16 @@ def test_interning_preserves_observable_semantics(tmp_path, seed):
     assert with_pool[1], "generator produced no elems — test is vacuous"
 
 
-# The ids are the suite's stable names: one worker parses in-process, two
-# run the process pool.
-@pytest.mark.parametrize(
-    "workers", [pytest.param(1, id="serial"), pytest.param(2, id="thread")]
-)
-def test_interning_equivalence_under_parallel(tmp_path, workers):
-    """The parallel engine with interning on emits the exact elem sequence of
-    the uninterned sequential reference."""
+def test_interning_equivalence_under_batched_consumption(tmp_path):
+    """``records_batched()`` with interning on or off emits the exact elem
+    sequence of the uninterned ``records()`` reference."""
     archive = _build_archive(tmp_path, 1234)
     reference = _consume(archive, interning=False)
-    config = ParallelConfig(max_workers=workers, batch_size=64)
-    parallel_on = _consume(archive, interning=True, parallel=config)
-    off_config = ParallelConfig(max_workers=workers, batch_size=64, intern=False)
-    parallel_off = _consume(archive, interning=False, parallel=off_config)
+    batched_on = _consume(archive, interning=True, batched=True)
+    batched_off = _consume(archive, interning=False, batched=True)
 
-    assert parallel_on[1] == reference[1]
-    assert parallel_on[2] == reference[2]
-    assert parallel_off[1] == reference[1]
-    assert parallel_off[3] == reference[3]
+    assert batched_on == reference
+    assert batched_off == reference
     assert reference[1]
 
 
@@ -185,7 +176,6 @@ def test_stream_interning_false_disables_parse_dedup(tmp_path):
     from repro.core.intern import default_pool
 
     archive = _build_archive(tmp_path, 555)
-    clear_index_cache()
     reset_default_pool()
     stream = BGPStream(
         data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1),
@@ -197,7 +187,6 @@ def test_stream_interning_false_disables_parse_dedup(tmp_path):
     assert sum(default_pool().sizes().values()) == 0
 
     # Same stream with interning on: the pool fills and paths are shared.
-    clear_index_cache()
     reset_default_pool()
     stream = BGPStream(
         data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1),
@@ -216,7 +205,6 @@ def test_private_pool_isolates_from_default_pool(tmp_path):
     from repro.core.intern import InternPool, default_pool
 
     archive = _build_archive(tmp_path, 777)
-    clear_index_cache()
     reset_default_pool()
     private = InternPool()
     stream = BGPStream(

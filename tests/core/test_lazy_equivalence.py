@@ -5,7 +5,7 @@ for randomized archives and live BMP feeds, the elem streams of the
 default stream — as dataclass values, ASCII lines and ``field_dict()``
 views — must be *identical* to ``BGPStream(eager=True)``, which
 materialises every attribute set before delivery, across interning,
-sequential/in-process/process-pool engines and filters.  Call level: with
+record-at-a-time/batched consumption and filters.  Call level: with
 the attribute-block decoder swapped for the eager ``PathAttributes.decode``
 oracle, ``decode_update``, the MRT parser and the BMP scan must produce the
 same values, the same not-valid records and the same exceptions — lazy
@@ -39,11 +39,10 @@ from repro.collectors.archive import Archive
 from repro.core import profiling
 from repro.core.interfaces import BrokerDataInterface, LiveDataInterface
 from repro.core.intern import InternPool, parse_interning, reset_default_pool
-from repro.core.parallel import ParallelConfig
 from repro.core.stream import BGPStream
 from repro.kafka.broker import MessageBroker
 from repro.mrt import records as mrt_records
-from repro.mrt.parser import clear_index_cache, read_dump
+from repro.mrt.parser import read_dump
 from repro.mrt.records import BGP4MPMessage, BGP4MPStateChange, PeerEntry, RIBPrefixRecord
 from repro.mrt.writer import write_rib_dump, write_updates_dump
 from repro.pybgpstream import BGPStream as PyBGPStream
@@ -178,24 +177,26 @@ def _assert_materialised(record):
         assert not getattr(attrs, "deferred_types", None), record
 
 
-def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None):
+def _consume(archive, *, eager, interning=True, batched=False, filter_spec=None):
     """Full pass over the archive, rendered every observable way."""
-    clear_index_cache()
     reset_default_pool()
     with parse_interning(bool(interning)):
         stream = BGPStream(
             data_interface=BrokerDataInterface(
                 Broker(archives=[archive]), max_empty_polls=1
             ),
-            parallel=parallel,
             interning=interning,
             eager=eager,
         )
         if filter_spec is not None:
             stream.add_filter(*filter_spec)
         stream.add_interval_filter(900, 2500)
+        if batched:
+            records = (r for batch in stream.records_batched(batch_size=32) for r in batch)
+        else:
+            records = stream.records()
         record_lines, elems, elem_lines, field_dicts = [], [], [], []
-        for record in stream.records():
+        for record in records:
             if eager:
                 _assert_materialised(record)
             record_lines.append(record.to_ascii())
@@ -210,7 +211,7 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
 
 
 # ---------------------------------------------------------------------------
-# The invisibility property: default × eager=True × interning × engine × filters
+# The invisibility property: default × eager=True × interning × batched × filters
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +219,7 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     interning=st.booleans(),
-    workers=st.sampled_from([None, 1]),
+    batched=st.booleans(),
     filter_spec=st.sampled_from(
         [
             None,
@@ -232,12 +233,9 @@ def _consume(archive, *, eager, interning=True, parallel=None, filter_spec=None)
         ]
     ),
 )
-def test_lazy_tier_is_observably_invisible(seed, interning, workers, filter_spec):
+def test_lazy_tier_is_observably_invisible(seed, interning, batched, filter_spec):
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, seed)
-        parallel = (
-            None if workers is None else ParallelConfig(max_workers=workers, batch_size=32)
-        )
         reference = _consume(
             archive, eager=True, interning=interning, filter_spec=filter_spec
         )
@@ -245,7 +243,7 @@ def test_lazy_tier_is_observably_invisible(seed, interning, workers, filter_spec
             archive,
             eager=False,
             interning=interning,
-            parallel=parallel,
+            batched=batched,
             filter_spec=filter_spec,
         )
         assert lazy[0] == reference[0]  # record ASCII
@@ -254,19 +252,6 @@ def test_lazy_tier_is_observably_invisible(seed, interning, workers, filter_spec
         assert lazy[3] == reference[3]  # field_dict views
         if filter_spec is None:
             assert reference[1], "generator produced no elems — test is vacuous"
-
-
-@pytest.mark.parametrize("interning", [True, False])
-def test_lazy_equivalence_under_process_pool(interning):
-    """Pool workers pickle records back fully materialised; the stream —
-    default or ``eager=True`` — still equals the sequential eager reference."""
-    with tempfile.TemporaryDirectory() as root:
-        archive = _build_archive(root, 99)
-        pool = ParallelConfig(max_workers=2, batch_size=32)
-        reference = _consume(archive, eager=True, interning=interning)
-        assert reference[1]
-        assert _consume(archive, eager=False, interning=interning, parallel=pool) == reference
-        assert _consume(archive, eager=True, interning=interning, parallel=pool) == reference
 
 
 def test_lazy_equivalence_under_live_bmp_feed():
@@ -389,7 +374,6 @@ def test_corrupt_mrt_records_surface_identically(tmp_path):
             target.write_bytes(bytes(mutated))
 
             def render(eager):
-                clear_index_cache()
                 lines = []
                 with _oracle_decode() if eager else contextlib.nullcontext():
                     records = read_dump(str(target))
@@ -494,7 +478,6 @@ def test_lazy_attributes_pickle_to_plain_eager_class():
 def test_lazy_elems_pickle_to_plain_elems(tmp_path):
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 3)
-        clear_index_cache()
         reset_default_pool()
         stream = BGPStream(
             data_interface=BrokerDataInterface(
@@ -516,7 +499,6 @@ def test_repeated_elems_take_the_canonical_marker_fast_path():
 
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 5)
-        clear_index_cache()
         reset_default_pool()
         stream = BGPStream(
             data_interface=BrokerDataInterface(
@@ -579,7 +561,6 @@ def test_attribute_filters_materialise_only_past_the_prefix_gate():
     """
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 21)
-        clear_index_cache()
         reset_default_pool()
         profiling.enable()
         try:
@@ -609,7 +590,6 @@ def test_attribute_filters_materialise_only_past_the_prefix_gate():
 def test_decode_stats_counters_report_the_deferral():
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 9)
-        clear_index_cache()
         reset_default_pool()
         profiling.enable()
         try:
@@ -648,7 +628,6 @@ def test_bgpreader_eager_decode_and_decode_stats_flags(tmp_path, capsys):
         dump = archive.path_for("ris", "rrc0", "updates", 1300)
 
         def lines(*extra):
-            clear_index_cache()
             reset_default_pool()
             args = reader.build_parser().parse_args(
                 ["--single-file", dump, *extra]
@@ -684,10 +663,8 @@ def _gateway_eager_flag():
     "call, error",
     [
         (_gateway_eager_flag, SystemExit),
-        (lambda: ParallelConfig(executor="process"), TypeError),
-        (lambda: ParallelConfig(prefetch_subsets=1), TypeError),
-        (lambda: ParallelConfig(lazy=False), TypeError),
-        (lambda: ParallelConfig(cache_records=True), TypeError),
+        (lambda: BGPStream(data_interface="kafka", parallel=True), TypeError),
+        (lambda: PyBGPStream(data_interface="kafka", parallel=None), TypeError),
         (lambda: read_dump("dump.mrt", cache_records=True), TypeError),
         (lambda: read_dump("dump.mrt", lazy=False), TypeError),
         (lambda: decode_update(_encoded_update(), lazy=False), TypeError),
@@ -698,8 +675,9 @@ def _gateway_eager_flag():
     ],
 )
 def test_removed_decode_and_executor_spellings_are_rejected(call, error):
-    """The options ISSUE 12 deleted fail loudly instead of being ignored
-    (``bgpreader --eager-decode`` is covered by the CLI test above)."""
+    """The options ISSUEs 12 and 19 deleted fail loudly instead of being
+    ignored (``bgpreader --eager-decode`` is covered by the CLI test above,
+    ``--batch-size`` in ``test_reader_and_pybgpstream``)."""
     with pytest.raises(error) as raised:
         call()
     if error is SystemExit:

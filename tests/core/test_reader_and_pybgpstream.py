@@ -113,13 +113,27 @@ class TestBGPReaderCLI:
         )
         assert any(line.startswith(("ribs|", "updates|")) for line in lines)
 
-    def test_parallel_engine_output_matches_sequential(self, core_archive, core_scenario):
+    def test_engine_flags_are_hidden_and_ignored(
+        self, core_archive, core_scenario, capsys
+    ):
+        """The process-pool engine is gone.  ``--parallel``/``--workers`` stay
+        parsed for the frozen ledger but are hidden and change nothing;
+        ``--batch-size`` is an argparse error like any unknown flag."""
         window = ["-w", f"{core_scenario.start},{core_scenario.end}", "-r"]
-        sequential = self._run(core_archive, window)
-        parallel = self._run(
-            core_archive, window + ["--parallel", "--workers", "2", "--batch-size", "16"]
-        )
-        assert parallel == sequential
+        plain = self._run(core_archive, window)
+        assert plain
+        assert self._run(core_archive, window + ["--parallel", "--workers", "2"]) == plain
+        assert self._run(core_archive, window + ["--workers", "2"]) == plain
+
+        help_text = build_parser().format_help()
+        assert "--parallel" not in help_text and "--workers" not in help_text
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["--archive", core_archive.root, "--parallel", "--batch-size", "16"]
+            )
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_no_intern_flag_output_identical(self, core_archive, core_scenario):
         from repro.core.intern import parse_interning_enabled
@@ -137,12 +151,6 @@ class TestBGPReaderCLI:
         stream = build_stream(args)
         assert stream.intern_pool is None
         assert stream.intern_stats() is None
-
-    def test_tuning_flags_require_parallel(self, core_archive):
-        parser = build_parser()
-        args = parser.parse_args(["--archive", core_archive.root, "--workers", "4"])
-        with pytest.raises(SystemExit):
-            build_stream(args)
 
     def test_requires_exactly_one_source(self):
         parser = build_parser()

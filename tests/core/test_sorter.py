@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import gc
 import os
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,10 +15,11 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
-from repro.core.interfaces import DumpFileSpec
-from repro.core.parallel import ParallelConfig, ParallelStreamEngine
+from repro.core.interfaces import CSVFileDataInterface, DumpFileSpec
 from repro.core.record import DumpPosition, RecordStatus
-from repro.core.sorter import DumpFileReader, SortedRecordMerger
+from repro.core.sorter import DumpFileReader, SortedRecordMerger, batch_records
+from repro.core.stream import BGPStream
+from repro.mrt.parser import MRTDumpReader
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import corrupt_file, write_updates_dump
 
@@ -208,7 +212,7 @@ def _random_file_set(rng, directory):
 
 
 class TestMergeProperties:
-    """Randomized properties of the sorted merge (§3.3.4) and its parallel twin."""
+    """Randomized properties of the sorted merge (§3.3.4)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_merge_is_sorted_and_a_permutation_of_the_inputs(self, tmp_path, seed):
@@ -231,59 +235,64 @@ class TestMergeProperties:
         assert len(merged) == len(written) + empty_files
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_batched_and_parallel_paths_match_sequential(self, tmp_path, seed):
+    def test_batched_path_matches_sequential(self, tmp_path, seed):
         rng = random.Random(1000 + seed)
         specs, _ = _random_file_set(rng, tmp_path)
         reference = [_record_key(r) for r in SortedRecordMerger(specs)]
 
         batch_size = rng.choice([1, 2, 7, 64])
-        batched = [
-            _record_key(r)
-            for batch in SortedRecordMerger(specs).iter_batches(batch_size)
-            for r in batch
-        ]
-        assert batched == reference
+        batches = list(batch_records(SortedRecordMerger(specs), batch_size))
+        assert [_record_key(r) for batch in batches for r in batch] == reference
+        # Full batches, then one flushed partial batch (never an empty one).
+        assert all(len(batch) == batch_size for batch in batches[:-1])
+        assert 0 < len(batches[-1]) <= batch_size
 
-        engine = ParallelStreamEngine(ParallelConfig(batch_size=batch_size, max_workers=1))
-        parallel = [_record_key(r) for b in engine.iter_batches(specs) for r in b]
-        assert parallel == reference, "in-process engine diverged from sequential merge"
 
-    def test_process_pool_path_matches_sequential(self, tmp_path):
-        rng = random.Random(42)
-        specs, _ = _random_file_set(rng, tmp_path)
-        reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-        with ParallelStreamEngine(ParallelConfig(max_workers=2)) as engine:
-            assert [_record_key(r) for r in engine.iter_records(specs)] == reference
+class TestFlatMemory:
+    """A streaming reader holds no more than the open files (§3.3.3–§3.3.4):
+    what it retains does not grow with the number of files already read."""
 
-    def test_engine_pool_is_reused_and_survives_close(self, tmp_path):
-        rng = random.Random(7)
-        specs, _ = _random_file_set(rng, tmp_path)
-        reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-        engine = ParallelStreamEngine(ParallelConfig(max_workers=2))
-        assert [_record_key(r) for r in engine.iter_records(specs)] == reference
-        pool = engine._executor
-        assert pool is not None
-        assert [_record_key(r) for r in engine.iter_records(specs)] == reference
-        assert engine._executor is pool, "pool must be reused across runs"
-        engine.close()
-        engine.close()  # idempotent
-        # A closed engine recreates its pool on next use.
-        assert [_record_key(r) for r in engine.iter_records(specs)] == reference
-        assert engine._executor is not pool
-        engine.close()
+    FILES = 40
+    RECORDS_PER_FILE = 200
 
-    def test_broken_pool_falls_back_to_in_process_parsing(self, tmp_path):
-        rng = random.Random(11)
-        specs, _ = _random_file_set(rng, tmp_path)
-        reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-        with ParallelStreamEngine(ParallelConfig(max_workers=2)) as engine:
-            engine._ensure_executor().shutdown()  # submits now raise RuntimeError
-            assert [_record_key(r) for r in engine.iter_records(specs)] == reference
-            assert engine.fallback_files == len(specs)
+    @pytest.mark.parametrize("through", ["mrt-reader", "stream"])
+    def test_retained_memory_is_flat_in_files_read(self, tmp_path, through):
+        paths = []
+        for index in range(self.FILES):
+            start = index * 1000
+            path = str(tmp_path / f"u{index:02d}.mrt.gz")
+            _write_updates(path, range(start, start + self.RECORDS_PER_FILE))
+            paths.append((start, path))
 
-    def test_one_worker_parses_in_process_without_a_pool(self, tmp_path):
-        rng = random.Random(12)
-        specs, _ = _random_file_set(rng, tmp_path)
-        engine = ParallelStreamEngine(ParallelConfig(max_workers=1))
-        assert list(engine.iter_records(specs))
-        assert engine._executor is None and engine.fallback_files == 0
+        if through == "mrt-reader":
+
+            def records():
+                for _, path in paths:
+                    with MRTDumpReader(path) as reader:
+                        yield from reader
+
+        else:
+            index_csv = str(tmp_path / "index.csv")
+            with open(index_csv, "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle).writerows(
+                    ["ris", "rrc0", "updates", start, 1000, path] for start, path in paths
+                )
+            records = BGPStream(data_interface=CSVFileDataInterface(index_csv)).records
+
+        def retained():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tenth = self.FILES // 10 * self.RECORDS_PER_FILE
+        tracemalloc.start()
+        try:
+            seen = 0
+            for _ in records():  # every record is discarded at once
+                seen += 1
+                if seen == tenth:
+                    after_first_tenth = retained()
+            after_last_file = retained()
+        finally:
+            tracemalloc.stop()
+        assert seen == self.FILES * self.RECORDS_PER_FILE
+        assert after_last_file <= 1.25 * after_first_tenth, (after_first_tenth, after_last_file)

@@ -58,17 +58,10 @@ class TestBatchedConsumption:
         assert flattened == reference
         assert stream.records_read == len(reference) + stream.records_filtered
 
-    def test_batched_rejects_nonpositive_batch_size_in_both_modes(
-        self, core_archive, core_scenario
-    ):
-        from repro.core.parallel import ParallelConfig
-
-        for parallel in (None, ParallelConfig(max_workers=1)):
-            stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-            if parallel is not None:
-                stream.set_parallel(parallel)
-            with pytest.raises(ValueError):
-                stream.records_batched(batch_size=0)
+    def test_batched_rejects_nonpositive_batch_size(self, core_archive, core_scenario):
+        stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        with pytest.raises(ValueError):
+            stream.records_batched(batch_size=0)
 
     def test_batched_and_record_apis_cannot_be_mixed(self, core_archive, core_scenario):
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
@@ -83,18 +76,6 @@ class TestBatchedConsumption:
         stream.get_next_record()
         with pytest.raises(RuntimeError):
             stream.records_batched()
-
-    def test_parallel_stream_matches_sequential(self, core_archive, core_scenario):
-        from repro.core.parallel import ParallelConfig
-
-        reference = [
-            (r.time, r.collector, str(r.status))
-            for r in make_stream(core_archive, core_scenario.start, core_scenario.end).records()
-        ]
-        stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        stream.set_parallel(ParallelConfig(max_workers=2))
-        parallel = [(r.time, r.collector, str(r.status)) for r in stream.records()]
-        assert parallel == reference
 
 
 class TestHistoricalStream:

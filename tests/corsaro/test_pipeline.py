@@ -80,15 +80,12 @@ class TestPipelineDriver:
     def test_batched_pipeline_matches_record_at_a_time(
         self, corsaro_archive, corsaro_scenario
     ):
-        """Riding the batched engine changes no bin boundary or output."""
-        from repro.core.parallel import ParallelConfig
+        """Consuming through ``records_batched()`` changes no bin boundary or output."""
 
-        def outputs(batch_size, parallel):
+        def outputs(batch_size):
             stream = make_corsaro_stream(
                 corsaro_archive, corsaro_scenario.start, corsaro_scenario.end
             )
-            if parallel is not None:
-                stream.set_parallel(parallel)
             stats = StatsPlugin()
             corsaro = BGPCorsaro(stream, [stats], bin_size=900, batch_size=batch_size)
             corsaro.run()
@@ -97,10 +94,9 @@ class TestPipelineDriver:
                 for o in corsaro.outputs_for("stats")
             ], corsaro.records_processed
 
-        reference = outputs(None, None)
+        reference = outputs(None)
         assert reference[1] > 0
-        assert outputs(64, None) == reference
-        assert outputs(64, ParallelConfig(max_workers=2)) == reference
+        assert outputs(64) == reference
 
     def test_outputs_collected_per_plugin(self, corsaro_archive, corsaro_scenario):
         stream = make_corsaro_stream(

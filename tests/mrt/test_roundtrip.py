@@ -3,8 +3,8 @@
 Records written with :mod:`repro.mrt.writer` must re-parse with
 :mod:`repro.mrt.parser` into *equal* record objects (header and decoded
 body), truncated tails must surface as a single :class:`CorruptRecord`
-signal, and the parser's header-index cache must never change what a re-read
-returns.
+signal, and the bulk scan and its streaming fallback must return the same
+records.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.bgp.fsm import SessionState
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.mrt import parser as mrt_parser
-from repro.mrt.parser import read_dump
+from repro.mrt.parser import MRTDumpReader, read_dump
 from repro.mrt.records import (
     BGP4MPMessage,
     BGP4MPStateChange,
@@ -140,51 +140,44 @@ def test_mid_file_undecodable_body_does_not_stop_the_read(tmp_path):
     assert reread[2] == last
 
 
-class TestHeaderIndexCache:
-    def setup_method(self):
-        mrt_parser.clear_index_cache()
+class TestBulkScan:
+    """The one-buffer scan and its streaming fallback: nothing outlives a
+    read, damage is signalled, and the size gate bounds memory."""
 
-    def test_reread_hits_cache_and_is_identical(self, tmp_path):
+    def test_reread_is_identical_and_shares_no_records(self, tmp_path):
         path = str(tmp_path / "golden.mrt")
         with MRTDumpWriter(path) as writer:
             writer.write_all(_golden_records())
         first = read_dump(path)
-        assert mrt_parser.cached_index(path) is not None
-        assert len(mrt_parser.cached_index(path).entries) == len(first)
         second = read_dump(path)
-        assert second == first
+        assert second == first == _golden_records()
+        assert second[0] is not first[0]
+        # A damaged dump signals the same way every time it is read.
+        corrupt_file(path, truncate_at=os.path.getsize(path) - 3)
+        damaged = read_dump(path)
+        assert not damaged[-1].is_valid
+        assert read_dump(path) == damaged
 
-    def test_cache_invalidated_when_file_changes(self, tmp_path):
+    def test_file_rewritten_in_place_returns_the_new_content(self, tmp_path):
         path = str(tmp_path / "golden.mrt")
         written = _golden_records()
         with MRTDumpWriter(path) as writer:
             writer.write_all(written)
-        read_dump(path)
-        assert mrt_parser.cached_index(path) is not None
-        # Rewrite with fewer records: the stale index must not be used.
+        assert read_dump(path) == written
+        # Rewrite with fewer records: nothing of the first read may survive.
         with MRTDumpWriter(path) as writer:
             writer.write_all(written[:2])
-        assert mrt_parser.cached_index(path) is None
         assert read_dump(path) == written[:2]
 
-    def test_corrupt_dump_is_never_cached(self, tmp_path):
-        path = str(tmp_path / "golden.mrt")
-        with MRTDumpWriter(path) as writer:
-            writer.write_all(_golden_records())
-        corrupt_file(path, truncate_at=os.path.getsize(path) - 3)
-        read_dump(path)
-        assert mrt_parser.cached_index(path) is None
-
-    def test_compressed_dumps_are_indexed_too(self, tmp_path):
-        """The index is built over the decompressed buffer of gzip dumps."""
-        path = str(tmp_path / "golden.mrt.gz")
-        with MRTDumpWriter(path, compress=True) as writer:
-            writer.write_all(_golden_records())
-        assert read_dump(path) == _golden_records()
-        index = mrt_parser.cached_index(path)
-        assert index is not None
-        assert len(index.entries) == len(_golden_records())
-        assert read_dump(path) == _golden_records()
+    def test_compressed_and_uncompressed_dumps_read_the_same(self, tmp_path):
+        """Gzip dumps are scanned from their decompressed buffer."""
+        plain = str(tmp_path / "golden.mrt")
+        compressed = str(tmp_path / "golden.mrt.gz")
+        for path in (plain, compressed):
+            with MRTDumpWriter(path, compress=path.endswith(".gz")) as writer:
+                writer.write_all(_golden_records())
+        assert open(compressed, "rb").read(2) == b"\x1f\x8b"
+        assert read_dump(compressed) == read_dump(plain) == _golden_records()
 
     def test_corrupt_gzip_stream_falls_back_to_streaming_semantics(self, tmp_path):
         path = str(tmp_path / "golden.mrt.gz")
@@ -194,7 +187,6 @@ class TestHeaderIndexCache:
         records = read_dump(path)
         assert records, "a damaged gzip dump must still signal, not vanish"
         assert not records[-1].is_valid
-        assert mrt_parser.cached_index(path) is None
 
     def test_mid_stream_gzip_corruption_signals_instead_of_raising(self, tmp_path):
         """A flipped byte inside the deflate stream must yield a read-error
@@ -211,9 +203,8 @@ class TestHeaderIndexCache:
         records = read_dump(path)  # must not raise
         assert records
         assert not records[-1].is_valid
-        assert mrt_parser.cached_index(path) is None
 
-    def test_oversized_decompressed_gzip_streams_instead_of_ballooning(
+    def test_oversized_decompressed_gzip_streams_instead_of_bloating(
         self, tmp_path, monkeypatch
     ):
         """The bulk-scan gate bounds the *decompressed* size of gzip dumps."""
@@ -223,43 +214,50 @@ class TestHeaderIndexCache:
                 writer.write_all(_golden_records())
         expected = read_dump(path)
         assert len(expected) == 50 * len(_golden_records())
-        mrt_parser.clear_index_cache()
         decompressed = len(b"".join(r.encode() for r in expected))
         assert os.path.getsize(path) < decompressed
         monkeypatch.setattr(mrt_parser, "BULK_SCAN_MAX", decompressed - 1)
+        monkeypatch.setattr(MRTDumpReader, "_iter_buffer", _must_not_run)
         assert read_dump(path) == expected  # served by the streaming scan
-        assert mrt_parser.cached_index(path) is None
 
-    def test_record_cache_round_trip(self, tmp_path):
+    def test_gate_is_sized_from_the_open_file_not_the_path(self, tmp_path, monkeypatch):
+        """A dump rotated away between open() and the scan (§3.2: archives
+        change under the reader) is still bulk-scanned from its descriptor;
+        if even the descriptor cannot be stat'ed, the streaming scan serves."""
         path = str(tmp_path / "golden.mrt")
         with MRTDumpWriter(path) as writer:
             writer.write_all(_golden_records())
-        first = read_dump(path)
-        index = mrt_parser.cached_index(path)
-        assert index is not None and len(index.entries) == len(first)
-        # The header index serves re-reads (bodies are decoded afresh: no
-        # decoded-record objects are shared between reads)...
-        second = read_dump(path)
-        assert second == first
-        assert second[0] is not first[0]
-        # ...and invalidates when the file changes.
-        with MRTDumpWriter(path) as writer:
-            writer.write_all(_golden_records()[:1])
-        assert read_dump(path) == _golden_records()[:1]
+        with monkeypatch.context() as patch:
+            patch.setattr(MRTDumpReader, "_iter_streaming", _must_not_run)
+            with MRTDumpReader(path) as reader:
+                os.unlink(path)
+                assert list(reader) == _golden_records()
 
-    def test_use_index_false_bypasses_the_cache(self, tmp_path):
+        with MRTDumpWriter(path) as writer:
+            writer.write_all(_golden_records())
+
+        def no_fstat(fd):
+            raise OSError("fstat refused")
+
+        monkeypatch.setattr(mrt_parser.os, "fstat", no_fstat)
+        monkeypatch.setattr(MRTDumpReader, "_iter_buffer", _must_not_run)
+        assert read_dump(path) == _golden_records()
+
+    def test_retired_index_names_are_inert_shims(self, tmp_path):
+        """The header index is gone; the two names the frozen ledger still
+        uses (``ledger/hist.py``) work and do nothing."""
         path = str(tmp_path / "golden.mrt")
         with MRTDumpWriter(path) as writer:
             writer.write_all(_golden_records())
-        assert read_dump(path, use_index=False) == _golden_records()
-        assert mrt_parser.cached_index(path) is None
+        assert mrt_parser.clear_index_cache() is None
+        with MRTDumpReader(path, use_index=False) as reader:
+            assert list(reader) == _golden_records()
+        assert not hasattr(reader, "use_index")
+        for name in ("cached_index", "store_index", "index_cache_size", "IndexEntry", "DumpIndex"):
+            assert not hasattr(mrt_parser, name), name
+        with pytest.raises(TypeError):
+            read_dump(path, use_index=False)
 
-    def test_cache_is_bounded(self, tmp_path):
-        records = _golden_records()[:1]
-        limit = mrt_parser._INDEX_CACHE_MAX
-        for i in range(limit + 20):
-            path = str(tmp_path / f"d{i}.mrt")
-            with MRTDumpWriter(path) as writer:
-                writer.write_all(records)
-            read_dump(path)
-        assert mrt_parser.index_cache_size() <= limit
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the wrong scan served this read")
