@@ -7,7 +7,7 @@ Two claims about the new live subsystem (ISSUE 5):
    that dominates a real feed by orders of magnitude);
 2. **live-path rate** — delivering the same UPDATE sequence through the
    whole live stack (BMP encode → router-keyed Kafka topic → framing scan →
-   record conversion → BGPStream filter/intern pipeline) stays within a
+   record conversion → BGPStream filter pipeline) stays within a
    small constant factor of the equivalent MRT-file replay, i.e. the live
    mode is the same order of magnitude as the historical path it mirrors —
    and both paths emit the *identical* elem sequence, which is asserted

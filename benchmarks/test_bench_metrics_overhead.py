@@ -110,7 +110,7 @@ def _min_seconds(fn, rounds=ROUNDS):
 def test_metrics_disabled_replay(benchmark, heavy_updates_dump):
     """The baseline entry: instrumented code with the registry disabled.
 
-    The call sites are compiled in; only the ``if _metrics.enabled:`` guard
+    The call sites are compiled in; only the ``if metrics.enabled:`` guard
     runs.  The CI benchmark-regression gate compares this median to the
     committed baseline, so any disabled-path creep fails the gate.
     """

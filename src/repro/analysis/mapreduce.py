@@ -35,10 +35,6 @@ class Partition:
     dump_types: Tuple[str, ...] = ("ribs",)
     label: Optional[str] = None
 
-    def describe(self) -> str:
-        who = self.collector or "all-collectors"
-        return self.label or f"{who}:{self.interval_start}-{self.interval_end}"
-
 
 class MapReduceDriver(Generic[MapOutput]):
     """Run a map function over partitions of an archive, then reduce."""

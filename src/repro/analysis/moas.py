@@ -35,12 +35,6 @@ class MOASAnalysisResult:
     def overall_counts(self) -> List[Tuple[int, int]]:
         return [(month, len(self.overall[month])) for month in self.months()]
 
-    def collector_counts(self, collector: str) -> List[Tuple[int, int]]:
-        return [
-            (month, len(self.per_collector.get(month, {}).get(collector, frozenset())))
-            for month in self.months()
-        ]
-
     def max_single_collector_count(self, month: int) -> int:
         per = self.per_collector.get(month, {})
         return max((len(sets) for sets in per.values()), default=0)

@@ -52,10 +52,6 @@ class RIBGrowthResult:
         sizes = self.per_vp.get(month, {})
         return set(sizes) - self.full_feed_vps(month, within)
 
-    def growth_series(self) -> List[Tuple[int, int]]:
-        """(month, max table size) — the upper envelope of Figure 5a."""
-        return [(month, self.max_table_size(month)) for month in self.months()]
-
 
 def _map_partition(stream: BGPStream, partition: Partition):
     per_vp: Dict[AnalysisVP, Set] = {}

@@ -9,7 +9,7 @@ is larger (smaller edge adoption) and the total AS count grows fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.mapreduce import MapReduceDriver, Partition
 from repro.collectors.archive import Archive
@@ -32,14 +32,6 @@ class TransitResult:
         total = self.total_asns.get(month, {}).get(version, 0)
         transit = self.transit_asns.get(month, {}).get(version, 0)
         return transit / total if total else 0.0
-
-    def fraction_series(self, version: int) -> List[Tuple[int, float]]:
-        return [(month, self.transit_fraction(month, version)) for month in self.months()]
-
-    def asn_count_series(self, version: int) -> List[Tuple[int, int]]:
-        return [
-            (month, self.total_asns.get(month, {}).get(version, 0)) for month in self.months()
-        ]
 
 
 def _map_partition(stream: BGPStream, partition: Partition):

@@ -53,9 +53,6 @@ class ProbeSelector:
 
     # -- selection ----------------------------------------------------------------
 
-    def probes_in_as(self, asn: int) -> List[AtlasProbe]:
-        return [p for p in self.probes if p.asn == asn]
-
     def select_for_target(
         self,
         origin_asn: int,

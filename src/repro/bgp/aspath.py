@@ -13,6 +13,8 @@ import struct
 from enum import IntEnum
 from typing import Iterator, List, Sequence, Tuple
 
+from repro.core.intern import default_pool
+
 
 class SegmentType(IntEnum):
     """AS path segment types from RFC 4271 (plus RFC 5065 confed types)."""
@@ -29,8 +31,8 @@ class ASPathSegment:
     A flyweight value object: ``__slots__`` (no per-instance dict), frozen
     (mutation raises — canonical instances are shared process-wide by the
     intern layer), equality takes the identity fast path first and the hash
-    is computed once and cached — interned segments make downstream dict and
-    set operations cheap (see :mod:`repro.core.intern`).
+    is computed once and cached.  The segments of a canonical
+    :class:`ASPath` are canonical too (see :mod:`repro.core.intern`).
     """
 
     __slots__ = ("segment_type", "asns", "_hash")
@@ -88,7 +90,10 @@ class ASPath:
 
     Like :class:`ASPathSegment` this is a slotted, frozen flyweight: hash
     and the bgpdump string form are computed once per canonical object, and
-    equality between interned paths short-circuits on identity.
+    equality between interned paths short-circuits on identity.  A path
+    decoded from the wire by the attribute layer, or restored from a pickle,
+    is the process-wide canonical object for its value
+    (:mod:`repro.core.intern`); one built by hand is not.
     """
 
     __slots__ = ("segments", "_hash", "_str")
@@ -121,14 +126,8 @@ class ASPath:
     def __repr__(self) -> str:
         return f"ASPath(segments={self.segments!r})"
 
-    def __getstate__(self) -> Tuple[Tuple[ASPathSegment, ...]]:
-        # Always-truthy 1-tuple: a falsy state would skip __setstate__.
-        return (self.segments,)
-
-    def __setstate__(self, state: Tuple[Tuple[ASPathSegment, ...]]) -> None:
-        object.__setattr__(self, "segments", state[0])
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_str", None)
+    def __reduce__(self):
+        return (_restore_path, (self.segments,))
 
     # -- constructors ------------------------------------------------------
 
@@ -270,6 +269,11 @@ class ASPath:
             segments.append(ASPathSegment(seg_type, tuple(asns)))
             offset = end
         return cls(tuple(segments))
+
+
+def _restore_path(segments: Tuple[ASPathSegment, ...]) -> ASPath:
+    """Unpickle through the pool: a restored path is the canonical one."""
+    return default_pool().path(ASPath(segments))
 
 
 def path_inflation(observed: "ASPath", shortest_hops: int) -> int:

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional, Tuple
 
-from repro import _profiling as profiling
 from repro.bgp.aspath import ASPath, SegmentType
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
+from repro.bgp.wirecache import address_str
+from repro.core import profiling
+from repro.core.intern import default_pool
 
 
 class Origin(IntEnum):
@@ -58,23 +60,6 @@ AFI_IPV4 = 1
 AFI_IPV6 = 2
 SAFI_UNICAST = 1
 
-#: The dataclass fields of :class:`PathAttributes`, in declaration order
-#: (used by pickling and the lazy layer; excludes the canonicalisation
-#: marker, which is transient state).
-_ATTR_FIELDS = (
-    "origin",
-    "as_path",
-    "next_hop",
-    "med",
-    "local_pref",
-    "atomic_aggregate",
-    "aggregator",
-    "communities",
-    "mp_next_hop",
-    "mp_reach_nlri",
-    "mp_unreach_nlri",
-)
-
 
 @dataclass(slots=True)
 class PathAttributes:
@@ -85,8 +70,7 @@ class PathAttributes:
     IPv6 next hop carried inside MP_REACH.
 
     Slotted: one attribute set is shared by every elem a record fans out
-    into, and the intern layer writes canonical path/community/next-hop
-    objects back into it so repeated extraction takes identity fast paths.
+    into.
     """
 
     origin: Origin = Origin.IGP
@@ -100,10 +84,6 @@ class PathAttributes:
     mp_next_hop: Optional[str] = None
     mp_reach_nlri: List[Prefix] = field(default_factory=list)
     mp_unreach_nlri: List[Prefix] = field(default_factory=list)
-    #: Elem-time canonicalisation marker: the intern pool this attribute set
-    #: was last written back through (see ``repro.core.record``), so repeated
-    #: ``elems()`` calls on a shared set skip the write-back pass.
-    _canonical_for: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     # -- value semantics ---------------------------------------------------
 
@@ -130,16 +110,6 @@ class PathAttributes:
             and self.mp_reach_nlri == other.mp_reach_nlri
             and self.mp_unreach_nlri == other.mp_unreach_nlri
         )
-
-    # -- pickling (the canonicalisation marker does not travel) ------------
-
-    def __getstate__(self) -> Tuple:
-        return tuple(getattr(self, name) for name in _ATTR_FIELDS)
-
-    def __setstate__(self, state: Tuple) -> None:
-        for name, value in zip(_ATTR_FIELDS, state):
-            setattr(self, name, value)
-        self._canonical_for = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -236,7 +206,10 @@ class PathAttributes:
         elif attr_type == AttrType.AS_PATH:
             self.as_path = ASPath.decode(body)
         elif attr_type == AttrType.NEXT_HOP:
-            self.next_hop = str(ipaddress.IPv4Address(bytes(body)))
+            raw = bytes(body)
+            if len(raw) != 4:
+                ipaddress.IPv4Address(raw)  # raises AddressValueError
+            self.next_hop = address_str(raw)
         elif attr_type == AttrType.MULTI_EXIT_DISC:
             (self.med,) = struct.unpack("!I", body)
         elif attr_type == AttrType.LOCAL_PREF:
@@ -245,7 +218,7 @@ class PathAttributes:
             self.atomic_aggregate = True
         elif attr_type == AttrType.AGGREGATOR:
             asn, raw_addr = struct.unpack("!I4s", body)
-            self.aggregator = (asn, str(ipaddress.IPv4Address(raw_addr)))
+            self.aggregator = (asn, address_str(raw_addr))
         elif attr_type == AttrType.COMMUNITIES:
             self.communities = CommunitySet.decode(body)
         elif attr_type == AttrType.MP_REACH_NLRI:
@@ -284,11 +257,15 @@ def _encode_mp_reach(next_hop: str, prefixes: List[Prefix]) -> bytes:
 def _decode_mp_reach(body: bytes) -> Tuple[str, List[Prefix]]:
     afi, safi, nh_len = struct.unpack_from("!HBB", body, 0)
     offset = 4
-    nh_raw = body[offset : offset + nh_len]
+    next_hop = None
+    if nh_len >= 16:
+        # A link-local second next hop may be present; use the first 16 bytes.
+        nh_raw = bytes(body[offset : offset + 16])
+        if len(nh_raw) != 16:
+            ipaddress.IPv6Address(nh_raw)  # truncated: raises AddressValueError
+        next_hop = address_str(nh_raw)
     offset += nh_len
     offset += 1  # reserved
-    # A link-local second next hop may be present; use the first 16 bytes.
-    next_hop = str(ipaddress.IPv6Address(bytes(nh_raw[:16]))) if nh_len >= 16 else None
     version = 6 if afi == AFI_IPV6 else 4
     prefixes: List[Prefix] = []
     while offset < len(body):
@@ -388,9 +365,11 @@ class LazyPathAttributes(PathAttributes):
     attribute bodies (keeping zero-copy slices of the wire buffer); gate
     attributes the filter layer needs cheaply — MP_REACH/MP_UNREACH NLRI
     and ATOMIC_AGGREGATE — are applied eagerly.  Reading a deferred field
-    (``attrs.as_path`` …) materialises just that attribute, interning the
-    value through the bound pool so only filter survivors pay the
-    flyweight lookup.
+    (``attrs.as_path`` …) materialises just that attribute; AS paths and
+    community sets are made canonical through the process-wide intern pool
+    right there — the one place they are built from wire bytes — so only
+    filter survivors pay the flyweight lookup and nothing downstream
+    re-probes.
 
     Semantics are observably identical to the eager class: corruption
     raises at construction time with the same exception classes, equality
@@ -399,9 +378,9 @@ class LazyPathAttributes(PathAttributes):
     process boundaries).
     """
 
-    __slots__ = ("_deferred", "_pool")
+    __slots__ = ("_deferred",)
 
-    def __init__(self, data=b"", pool=None) -> None:
+    def __init__(self, data=b"") -> None:
         set_field = _SLOT_SETTERS
         set_field["origin"](self, Origin.IGP)
         set_field["as_path"](self, _EMPTY_PATH)
@@ -414,10 +393,8 @@ class LazyPathAttributes(PathAttributes):
         self.mp_next_hop = None
         self.mp_reach_nlri = []
         self.mp_unreach_nlri = []
-        self._canonical_for = None
         deferred = {}
         self._deferred = deferred
-        self._pool = pool
         size = len(data)
         offset = 0
         while offset < size:
@@ -451,10 +428,6 @@ class LazyPathAttributes(PathAttributes):
 
     # -- lazy machinery ----------------------------------------------------
 
-    def bind_pool(self, pool) -> None:
-        """Intern materialised values through ``pool`` from now on."""
-        self._pool = pool
-
     @property
     def deferred_types(self) -> frozenset:
         """The attribute type codes still awaiting materialisation."""
@@ -468,16 +441,10 @@ class LazyPathAttributes(PathAttributes):
         # the slot *before* popping the deferred entry — a concurrent reader
         # at worst repeats the (idempotent) parse, never sees a half state.
         self._apply(attr_type, body)
-        pool = self._pool
-        if pool is not None:
-            if attr_type == _T_AS_PATH:
-                _set_as_path(self, pool.path(_get_as_path(self)))
-            elif attr_type == _T_COMMUNITIES:
-                _set_communities(self, pool.communities(_get_communities(self)))
-            elif attr_type == _T_NEXT_HOP:
-                value = _get_next_hop(self)
-                if value is not None:
-                    _set_next_hop(self, pool.string(value))
+        if attr_type == _T_AS_PATH:
+            _set_as_path(self, default_pool().path(_get_as_path(self)))
+        elif attr_type == _T_COMMUNITIES:
+            _set_communities(self, default_pool().communities(_get_communities(self)))
         if profiling.counters is not None:
             profiling.counters.attr_fields_materialised += 1
 
@@ -489,8 +456,8 @@ class LazyPathAttributes(PathAttributes):
     # -- pickling ----------------------------------------------------------
 
     def __reduce__(self):
-        # Deferred wire slices (memoryviews into a dump buffer) and the
-        # bound pool must not travel; an unpickled lazy set is just eager.
+        # Deferred wire slices (memoryviews into a dump buffer) must not
+        # travel; an unpickled lazy set is just eager.
         self.materialise_all()
         return (
             PathAttributes,
@@ -536,8 +503,6 @@ _get_as_path = PathAttributes.__dict__["as_path"].__get__
 _set_as_path = PathAttributes.__dict__["as_path"].__set__
 _get_communities = PathAttributes.__dict__["communities"].__get__
 _set_communities = PathAttributes.__dict__["communities"].__set__
-_get_next_hop = PathAttributes.__dict__["next_hop"].__get__
-_set_next_hop = PathAttributes.__dict__["next_hop"].__set__
 
 for _name, _attr_type in (
     ("origin", _T_ORIGIN),
@@ -552,10 +517,10 @@ for _name, _attr_type in (
 del _name, _attr_type
 
 
-def decode_attributes(data, pool=None) -> PathAttributes:
+def decode_attributes(data) -> PathAttributes:
     """Decode an attribute TLV block into a :class:`LazyPathAttributes`.
 
-    ``pool`` interns values as they materialise.  Structural corruption
-    raises here, with the exception classes of :meth:`PathAttributes.decode`.
+    Structural corruption raises here, with the exception classes of
+    :meth:`PathAttributes.decode`.
     """
-    return LazyPathAttributes(data, pool)
+    return LazyPathAttributes(data)

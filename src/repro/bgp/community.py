@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from typing import FrozenSet, Iterable, Iterator, Tuple
 
+from repro.core.intern import default_pool
+
 #: Well-known community used as the conventional black-hole signal
 #: (RFC 7999 assigns 65535:666).
 BLACKHOLE = (65535, 666)
@@ -25,7 +27,8 @@ class Community:
     """A single ``asn:value`` community.
 
     A slotted, frozen, orderable flyweight value object with a cached hash
-    and an identity-first equality check (see :mod:`repro.core.intern`).
+    and an identity-first equality check.  The members of a canonical
+    :class:`CommunitySet` are canonical too (see :mod:`repro.core.intern`).
     """
 
     __slots__ = ("asn", "value", "_hash")
@@ -112,6 +115,9 @@ class CommunitySet:
     A frozen flyweight like its members: the hash, the sorted view and the
     string form are computed once per canonical object and cached, and
     equality short-circuits on identity (interned sets compare in O(1)).
+    A set decoded from the wire by the attribute layer, or restored from a
+    pickle, is the process-wide canonical object for its value
+    (:mod:`repro.core.intern`); one built by hand is not.
     """
 
     __slots__ = ("_communities", "_hash", "_sorted", "_str", "_packed")
@@ -196,15 +202,8 @@ class CommunitySet:
     def __repr__(self) -> str:
         return f"CommunitySet({list(self._sorted_view())!r})"
 
-    def __getstate__(self) -> Tuple[FrozenSet[Community]]:
-        return (self._communities,)
-
-    def __setstate__(self, state: Tuple[FrozenSet[Community]]) -> None:
-        object.__setattr__(self, "_communities", state[0])
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_str", None)
-        object.__setattr__(self, "_packed", None)
+    def __reduce__(self):
+        return (_restore_communities, (self._communities,))
 
     # -- set operations ----------------------------------------------------
 
@@ -244,3 +243,8 @@ class CommunitySet:
             asn, value = struct.unpack_from("!HH", data, offset)
             communities.append(Community(asn, value))
         return cls(communities)
+
+
+def _restore_communities(communities: FrozenSet[Community]) -> CommunitySet:
+    """Unpickle through the pool: a restored set is the canonical one."""
+    return default_pool().communities(CommunitySet(communities))

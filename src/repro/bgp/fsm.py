@@ -28,8 +28,3 @@ class SessionState(IntEnum):
 
     def __str__(self) -> str:  # bgpdump-compatible rendering
         return self.name
-
-
-def is_session_up(state: SessionState) -> bool:
-    """A vantage point is feeding data only when its session is ESTABLISHED."""
-    return state is SessionState.ESTABLISHED

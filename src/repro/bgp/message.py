@@ -165,7 +165,7 @@ def encode_update(update: BGPUpdate) -> bytes:
     return update.encode()
 
 
-def decode_update(data: bytes, pool=None) -> BGPUpdate:
+def decode_update(data: bytes) -> BGPUpdate:
     """Decode a complete BGP UPDATE message (with marker header).
 
     Raises :class:`BGPDecodeError` on any structural problem; the MRT layer
@@ -174,18 +174,17 @@ def decode_update(data: bytes, pool=None) -> BGPUpdate:
 
     ``data`` may be a ``memoryview`` (the zero-copy readers pass views of
     the dump/frame buffer straight through).  The attribute block is kept
-    as zero-copy slices and value construction is deferred to first read
-    (``pool`` interns values as they materialise); structural corruption
-    still raises here.
+    as zero-copy slices and value construction is deferred to first read;
+    structural corruption still raises here.
     """
     body = _decode_header(data, MessageType.UPDATE)
     try:
-        return _decode_update_body(body, pool=pool)
+        return _decode_update_body(body)
     except (ValueError, struct.error) as exc:
         raise BGPDecodeError(str(exc)) from exc
 
 
-def _decode_update_body(body: bytes, pool=None) -> BGPUpdate:
+def _decode_update_body(body: bytes) -> BGPUpdate:
     if len(body) < 4:
         raise BGPDecodeError("UPDATE body too short")
     (withdrawn_len,) = struct.unpack_from("!H", body, 0)
@@ -203,11 +202,7 @@ def _decode_update_body(body: bytes, pool=None) -> BGPUpdate:
     attr_end = offset + attr_len
     if attr_end > len(body):
         raise BGPDecodeError("path attributes overrun message")
-    attributes = (
-        decode_attributes(body[offset:attr_end], pool=pool)
-        if attr_len
-        else PathAttributes()
-    )
+    attributes = decode_attributes(body[offset:attr_end]) if attr_len else PathAttributes()
 
     announced: List[Prefix] = []
     offset = attr_end

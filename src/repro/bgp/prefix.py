@@ -31,7 +31,9 @@ class Prefix:
     routing-table key and filter carries one.  It is a slotted, frozen
     flyweight — no per-instance dict, identity-first equality, and the hash
     and string form (``ipaddress`` recomputes both on every call) are
-    computed once and cached (see :mod:`repro.core.intern`).
+    computed once and cached.  :meth:`decode` hands out one canonical object
+    per distinct NLRI encoding, and unpickling restores through it, so a
+    prefix read from a segment file is the object the wire decoder returns.
     """
 
     __slots__ = ("network", "_hash", "_str")
@@ -64,13 +66,8 @@ class Prefix:
     def __repr__(self) -> str:
         return f"Prefix(network={self.network!r})"
 
-    def __getstate__(self) -> Tuple[_IPNetwork]:
-        return (self.network,)
-
-    def __setstate__(self, state: Tuple[_IPNetwork]) -> None:
-        object.__setattr__(self, "network", state[0])
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_str", None)
+    def __reduce__(self):
+        return (_restore_prefix, (self.version, self.encode()))
 
     # -- constructors ------------------------------------------------------
 
@@ -181,3 +178,8 @@ class Prefix:
                 _decode_cache.clear()
             _decode_cache[key] = prefix
         return prefix, end
+
+
+def _restore_prefix(version: int, nlri: bytes) -> Prefix:
+    """Unpickle through the decode cache: NLRI bytes in, canonical object out."""
+    return Prefix.decode(nlri, 0, version)[0]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator, List, Optional
 
-from repro import _profiling as profiling
+from repro.core import profiling
 from repro.bmp.constants import (
     BMP_VERSION,
     COMMON_HEADER_LEN,

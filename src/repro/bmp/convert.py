@@ -1,7 +1,7 @@
 """Converting live BMP messages into BGPStream records (paper §6).
 
-The live path must hand the downstream pipeline (filters, interning,
-BGPCorsaro plugins) the *exact* record/elem model the historical MRT path
+The live path must hand the downstream pipeline (filters, BGPCorsaro
+plugins) the *exact* record/elem model the historical MRT path
 produces, so a converted Route Monitoring message becomes an ordinary
 ``updates`` record wrapping a BGP4MP message — the same UPDATE sequence
 delivered over BMP or replayed from an MRT dump file yields identical elem

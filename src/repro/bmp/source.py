@@ -15,11 +15,11 @@ stay ordered.  This module reproduces that arrangement on top of
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import time
 
-from repro import _metrics
+from repro.core import metrics
 from repro.bmp.codec import scan_buffer
 from repro.bmp.messages import BMPMessage
 from repro.kafka.broker import Message, MessageBroker, round_robin_take
@@ -33,22 +33,22 @@ DEFAULT_CONSUMER_GROUP = "bgpstream-live"
 
 #: Telemetry (see docs/OBSERVABILITY.md).  Gauges are *sampled* at the end
 #: of each instrumented poll — scrapes between polls see the last sample.
-_poll_latency = _metrics.histogram(
+_poll_latency = metrics.histogram(
     "repro_kafka_poll_latency_seconds",
     "Wall-clock latency of one BMP-feed Kafka poll (decode included).",
 )
-_frames = _metrics.counter(
+_frames = metrics.counter(
     "repro_kafka_frames_total",
     "BMP frames scanned off the Kafka feed, by decode outcome.",
     labelnames=("status",),
 )
-_partition_lag = _metrics.gauge(
+_partition_lag = metrics.gauge(
     "repro_kafka_partition_lag",
     "Messages published but not yet committed by this consumer group, "
     "per partition (sampled at the end of each poll).",
     labelnames=("topic", "partition"),
 )
-_deferred_depth = _metrics.gauge(
+_deferred_depth = metrics.gauge(
     "repro_kafka_deferred_heads",
     "Partition heads currently held back past the window boundary "
     "(sampled at the end of each poll).",
@@ -70,10 +70,6 @@ class BMPFeedProducer:
         self.router = router
         self._producer = Producer(broker, default_topic=topic)
 
-    @property
-    def messages_published(self) -> int:
-        return self._producer.messages_sent
-
     def publish(
         self,
         message: Union[BMPMessage, bytes],
@@ -94,17 +90,6 @@ class BMPFeedProducer:
             if peer is not None:
                 timestamp = peer.timestamp
         return self._producer.send(frame, key=key, timestamp=timestamp)
-
-    def publish_all(
-        self,
-        messages: Iterable[Union[BMPMessage, bytes]],
-        router: Optional[str] = None,
-    ) -> int:
-        count = 0
-        for message in messages:
-            self.publish(message, router=router)
-            count += 1
-        return count
 
 
 class BMPKafkaDataSource:
@@ -172,7 +157,7 @@ class BMPKafkaDataSource:
         consecutive bounded windows (the record-level interval check drops
         the re-delivered in-window frames).
         """
-        if not _metrics.enabled:
+        if not metrics.enabled:
             return self._poll_impl(max_messages, until_ts)
         started = time.perf_counter()
         try:
@@ -299,11 +284,11 @@ class BMPKafkaDataSource:
     def _count_frame(self, message: BMPMessage) -> None:
         if message.is_valid:
             self.frames_decoded += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _frames.inc(status="ok")
         else:
             self.corrupt_frames += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _frames.inc(status="corrupt")
 
     def lag(self) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional
 
-from repro import _metrics
+from repro.core import metrics
 from repro.broker.broker import (
     DEFAULT_PAGE_SIZE,
     Broker,
@@ -47,19 +47,19 @@ from repro.utils.timeutil import Clock, SystemClock
 
 
 #: Telemetry (see docs/OBSERVABILITY.md).  Updated only when
-#: ``repro._metrics.enabled`` — one global load per request otherwise.
-_request_latency = _metrics.histogram(
+#: ``repro.core.metrics.enabled`` — one global load per request otherwise.
+_request_latency = metrics.histogram(
     "repro_broker_request_latency_seconds",
     "Broker request wall-clock latency per transport method "
     "(includes throttle waits, breaker rejection and retries).",
     labelnames=("method",),
 )
-_requests = _metrics.counter(
+_requests = metrics.counter(
     "repro_broker_requests_total",
     "Broker transport requests attempted (each retry counts again).",
     labelnames=("method",),
 )
-_retries = _metrics.counter(
+_retries = metrics.counter(
     "repro_broker_retries_total",
     "Broker requests re-attempted after a transient transport failure.",
 )
@@ -199,7 +199,7 @@ class BrokerClient:
         def one_attempt() -> BrokerResponse:
             self._throttle()
             self.requests_sent += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _requests.inc(method=method)
             self._last_request = self.clock.now()
             call = getattr(self.transport, method)
@@ -209,10 +209,10 @@ class BrokerClient:
 
         def count_retry(_attempt: int, _exc: BaseException, _delay: float) -> None:
             self.retries += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _retries.inc()
 
-        if not _metrics.enabled:
+        if not metrics.enabled:
             return self.retry_policy.run(
                 one_attempt,
                 clock=self.clock,

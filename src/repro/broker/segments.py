@@ -18,12 +18,15 @@ Design points:
   the decoded bodies as one pickled list — cheaper to write and to load
   than a million tiny per-record pickles, and the record wrappers are
   rebuilt in one tight loop on load.
-* **Intern-pool-aware dedup.**  Before pickling, every body is canonicalised
-  through a fresh :class:`~repro.core.intern.InternPool`, so the thousands
-  of repeated AS paths / community sets / prefixes inside a dump collapse
-  to single pickled objects (pickle memoises by identity).  On load, bodies
-  are re-interned into the process parse pool (when parse-time interning is
-  on), so cached records share flyweights with freshly parsed ones.
+* **Dedup for free.**  Decoded values are born canonical — one object per
+  distinct prefix, address, AS path and community set
+  (:mod:`repro.bgp.wirecache`, :mod:`repro.core.intern`) — so pickle's
+  identity memo stores each exactly once per segment with no pass of ours.
+  On load the three value classes restore *through* the same wire cache /
+  intern pool (their ``__reduce__``), so a value read from a segment is the
+  object a fresh decode would return and values stay shared across segment
+  files; only address strings are shared per segment rather than per
+  process.
 * **Size-bounded LRU.**  A small SQLite manifest next to the segment files
   tracks byte sizes and a monotonic use counter; storing beyond
   ``max_bytes`` evicts the least-recently-used segments.  Segment files are
@@ -35,7 +38,7 @@ Design points:
   there for a post-mortem.
 * **Observable.**  Hit/miss/store/eviction counters are kept per cache and
   folded into the ``--decode-stats`` profiling counters
-  (:mod:`repro._profiling`), so a warm replay visibly reports where its
+  (:mod:`repro.core.profiling`), so a warm replay visibly reports where its
   records came from.
 
 Processes share a cache by *path*: each one opens ``SegmentCache(root)``
@@ -52,19 +55,20 @@ import threading
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-from repro import _metrics
-from repro import _profiling as profiling
-from repro.core.intern import InternPool
+from repro.core import metrics, profiling
 from repro.core.record import BGPStreamRecord, DumpPosition, RecordStatus
 from repro.mrt.constants import MRTType
 from repro.mrt.parser import file_signature
-from repro.mrt.records import MRTHeader, MRTRecord, _intern_body
+from repro.mrt.records import MRTHeader, MRTRecord
 
 #: Default on-disk budget for segment payloads (bytes).
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
-#: Bump when the segment payload layout changes; old segments then miss.
-SEGMENT_VERSION = 1
+#: Bump when the segment payload layout changes (the pickled form of a
+#: value class counts).  The version is part of the segment key, so segments
+#: of another layout are never opened: they miss, and age out by LRU.
+#: 2: ``Prefix`` / ``ASPath`` / ``CommunitySet`` pickle through ``__reduce__``.
+SEGMENT_VERSION = 2
 
 _STATUSES: Tuple[RecordStatus, ...] = tuple(RecordStatus)
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
@@ -73,8 +77,8 @@ _POSITION_CODE = {position: code for code, position in enumerate(_POSITIONS)}
 
 #: Telemetry (see docs/OBSERVABILITY.md): one labeled counter covering the
 #: cache's whole event vocabulary, summed across every SegmentCache handle
-#: in the process.  Updated only while ``repro._metrics.enabled``.
-_cache_events = _metrics.counter(
+#: in the process.  Updated only while ``repro.core.metrics.enabled``.
+_cache_events = metrics.counter(
     "repro_segment_cache_events_total",
     "Segment-cache outcomes across all cache handles "
     "(hit, miss, store, evict, corrupt).",
@@ -144,9 +148,9 @@ class SegmentCache:
 
     @staticmethod
     def key_for(path: str, signature: Tuple[int, int]) -> str:
-        """The segment key of one dump-file content."""
+        """The segment key of one dump-file content under this layout."""
         digest = hashlib.sha1(os.path.abspath(path).encode("utf-8")).hexdigest()[:16]
-        return f"{digest}-{signature[0]}-{signature[1]}"
+        return f"{digest}-{signature[0]}-{signature[1]}-v{SEGMENT_VERSION}"
 
     # -- the cache API -----------------------------------------------------
 
@@ -174,15 +178,15 @@ class SegmentCache:
                 payload = pickle.load(handle)
             records = _rebuild_records(payload, spec)
         except Exception:
-            # Torn write, foreign bytes, or a layout from another version:
-            # quarantine the segment (preserve the bytes as `.corrupt` for a
-            # post-mortem, like the broker-db recovery discipline), count it,
-            # and fall back to the decode path.
+            # Torn write or foreign bytes (another layout version never gets
+            # here — its key differs): quarantine the segment (preserve the
+            # bytes as `.corrupt` for a post-mortem, like the broker-db
+            # recovery discipline), count it, and fall back to the decode path.
             self._quarantine(key, filename)
             return self._miss()
         self._touch(key)
         self.hits += 1
-        if _metrics.enabled:
+        if metrics.enabled:
             _cache_events.inc(event="hit")
         counters = profiling.counters
         if counters is not None:
@@ -236,7 +240,7 @@ class SegmentCache:
             self._conn.commit()
             self._evict_locked(keep_key=key)
         self.stores += 1
-        if _metrics.enabled:
+        if metrics.enabled:
             _cache_events.inc(event="store")
         return True
 
@@ -276,7 +280,7 @@ class SegmentCache:
 
     def _miss(self) -> None:
         self.misses += 1
-        if _metrics.enabled:
+        if metrics.enabled:
             _cache_events.inc(event="miss")
         counters = profiling.counters
         if counters is not None:
@@ -291,15 +295,6 @@ class SegmentCache:
             )
             self._conn.commit()
 
-    def _forget(self, key: str, filename: str) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM segments WHERE key = ?", (key,))
-            self._conn.commit()
-        try:
-            os.remove(filename)
-        except OSError:
-            pass
-
     def _quarantine(self, key: str, filename: str) -> None:
         """Preserve an unreadable segment as ``.corrupt`` and drop its row."""
         with self._lock:
@@ -310,7 +305,7 @@ class SegmentCache:
         except OSError:
             pass
         self.corrupt += 1
-        if _metrics.enabled:
+        if metrics.enabled:
             _cache_events.inc(event="corrupt")
         counters = profiling.counters
         if counters is not None:
@@ -341,7 +336,7 @@ class SegmentCache:
             except OSError:
                 pass
             self.evictions += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _cache_events.inc(event="evict")
 
 
@@ -389,13 +384,6 @@ def _build_payload(spec, records: Sequence[BGPStreamRecord]) -> dict:
                 peer_tables.append(table)
                 peer_table_index[id(table)] = ref
             peer_refs.append(ref)
-    # Intern-pool-aware dedup: canonicalise every body through one local
-    # pool so repeated paths/community-sets/prefixes become shared objects,
-    # which the pickle memo then stores exactly once.
-    pool = InternPool()
-    for body in bodies:
-        if body is not None:
-            _intern_body(body, pool)
     return {
         "version": SEGMENT_VERSION,
         "path": spec.path,
@@ -416,10 +404,8 @@ def _rebuild_records(payload: dict, spec) -> List[BGPStreamRecord]:
     """Reinflate the record wrappers of one segment payload."""
     if payload.get("version") != SEGMENT_VERSION:
         raise ValueError(f"unsupported segment version {payload.get('version')!r}")
-    # No re-interning on load: the pickle memo already restores every
-    # intra-segment shared object (the store-side intern pass canonicalised
-    # them), and rebuilding flyweight identity across segments would cost
-    # more per replay than the retained-memory win it buys.
+    # Nothing to canonicalise here: unpickling already restored every prefix,
+    # AS path and community set through the wire cache / intern pool.
     bodies = payload["bodies"]
     timestamps = payload["timestamps"]
     mrt_types = payload["mrt_types"]

@@ -86,9 +86,6 @@ class Scenario:
                 return collector
         raise KeyError(name)
 
-    def all_vps(self) -> List[Tuple[Collector, VantagePoint]]:
-        return [(c, vp) for c in self.collectors for vp in c.vps]
-
     # -- routing state over time -------------------------------------------------
 
     def base_table(self, collector: Collector, vp: VantagePoint) -> Dict[Prefix, Route]:

@@ -15,39 +15,40 @@ measurement data behind a small API:
 * :mod:`repro.core.reader` — the ``bgpreader`` command-line tool.
 """
 
-from repro.core.intern import InternPool, default_pool, parse_interning, set_parse_interning
-from repro.core.elem import BGPElem, ElemType
-from repro.core.record import BGPStreamRecord, DumpPosition, RecordStatus
-from repro.core.filters import FilterSet
-from repro.core.interfaces import (
-    BrokerDataInterface,
-    CSVFileDataInterface,
-    DataInterface,
-    DumpFileSpec,
-    SingleFileDataInterface,
-    SQLiteDataInterface,
-)
-from repro.core.sorter import DumpFileReader, SortedRecordMerger
-from repro.core.stream import BGPStream
+import importlib
 
-__all__ = [
-    "InternPool",
-    "default_pool",
-    "parse_interning",
-    "set_parse_interning",
-    "BGPElem",
-    "ElemType",
-    "BGPStreamRecord",
-    "DumpPosition",
-    "RecordStatus",
-    "FilterSet",
-    "DataInterface",
-    "DumpFileSpec",
-    "BrokerDataInterface",
-    "SingleFileDataInterface",
-    "CSVFileDataInterface",
-    "SQLiteDataInterface",
-    "DumpFileReader",
-    "SortedRecordMerger",
-    "BGPStream",
-]
+#: The package's public names and their submodules, imported on first
+#: access (PEP 562): the decode layers (``repro.bgp``, ``repro.mrt``,
+#: ``repro.bmp``) import ``repro.core.intern`` / ``metrics`` / ``profiling``
+#: and must not drag in ``stream``, which imports them back.
+_SUBMODULES = {
+    "InternPool": "intern",
+    "default_pool": "intern",
+    "BGPElem": "elem",
+    "ElemType": "elem",
+    "BGPStreamRecord": "record",
+    "DumpPosition": "record",
+    "RecordStatus": "record",
+    "FilterSet": "filters",
+    "DataInterface": "interfaces",
+    "DumpFileSpec": "interfaces",
+    "BrokerDataInterface": "interfaces",
+    "SingleFileDataInterface": "interfaces",
+    "CSVFileDataInterface": "interfaces",
+    "SQLiteDataInterface": "interfaces",
+    "DumpFileReader": "sorter",
+    "SortedRecordMerger": "sorter",
+    "BGPStream": "stream",
+}
+
+
+def __getattr__(name: str):
+    module = _SUBMODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_SUBMODULES)

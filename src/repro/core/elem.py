@@ -41,9 +41,10 @@ class BGPElem:
     Slotted: elems are the highest-volume objects of the whole framework
     (one RIB record fans out into thousands), and dropping the per-instance
     ``__dict__`` makes both construction and attribute access measurably
-    cheaper.  The prefix/path/communities fields hold *interned* flyweight
-    values when the producing stream has an intern pool configured (the
-    default — see :mod:`repro.core.intern`).
+    cheaper.  The prefix, path, communities and address fields of an elem a
+    stream produced hold shared flyweight values — one object per distinct
+    value, made canonical where the decode layer built it (see
+    :mod:`repro.core.intern`, :mod:`repro.bgp.wirecache`).
     """
 
     elem_type: ElemType

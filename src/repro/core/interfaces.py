@@ -21,7 +21,7 @@ import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro import _metrics
+from repro.core import metrics
 from repro.broker.broker import Broker, BrokerQuery
 from repro.broker.db import MetadataDB
 from repro.collectors.projects import project_for_collector
@@ -271,8 +271,8 @@ class LiveDataInterface(DataInterface):
     (client-pull, §3.3.2: data is requested only when the application is
     ready for more), converts each BMP message into BGPStream records
     through a :class:`~repro.bmp.convert.BMPRecordConverter`, and yields
-    them in arrival batches.  The stream applies its filters and intern
-    pool to live records exactly as to replayed ones.
+    them in arrival batches.  The stream applies its filters to live
+    records exactly as to replayed ones.
 
     Bounded windows: when the stream's filters carry an ``interval_end``
     (an ``until_ts``), the interface stops as soon as the feed progresses
@@ -395,7 +395,7 @@ class LiveDataInterface(DataInterface):
                 continue
             empty_polls = 0
             batch: List[BGPStreamRecord] = []
-            with _metrics.trace_span("convert"):
+            with metrics.trace_span("convert"):
                 converted = [
                     record
                     for router, message in pairs
@@ -446,13 +446,13 @@ class LiveDataInterface(DataInterface):
                 return breaker.call(call)
 
         if self.retry_policy is None:
-            with _metrics.trace_span("poll"):
+            with metrics.trace_span("poll"):
                 return guarded()
 
         def count_retry(_attempt: int, _exc: BaseException, _delay: float) -> None:
             self.poll_retries += 1
 
-        with _metrics.trace_span("poll"):
+        with metrics.trace_span("poll"):
             return self.retry_policy.run(guarded, clock=self.clock, on_retry=count_retry)
 
     def _source_accepts_until_ts(self) -> bool:

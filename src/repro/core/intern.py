@@ -1,40 +1,37 @@
-"""Flyweight interning for the hot BGP value objects (the elem pipeline).
+"""Flyweight interning for AS paths and community sets.
 
-A RIB dump repeats the same few thousand AS paths, community sets and peer
-addresses millions of times; materialising a fresh object per occurrence
-dominates both the elem-extraction hot loop and the resident size of the
-routing-tables (prefix × VP) matrix.  An :class:`InternPool` deduplicates
-those immutable values at parse time, so every consumer downstream holds
-*references to one canonical object* per distinct value:
+A RIB dump repeats the same few thousand AS paths and community sets
+millions of times; keeping a fresh object per occurrence dominates the
+resident size of the routing-tables (prefix × VP) matrix.  One process-wide
+:class:`InternPool` (:func:`default_pool`) deduplicates those immutable
+values, so every consumer downstream holds *references to one canonical
+object* per distinct value:
 
-* canonical objects carry their hash cached (the value classes memoise it in
-  a ``_hash`` slot), so dict/set/trie operations skip recomputation;
+* canonical objects carry their hash and string form cached (the value
+  classes memoise them in slots), so dict/set operations and ``to_ascii``
+  skip recomputation;
 * equality checks between interned values hit the identity fast path the
   value classes implement (``self is other`` first, fields second);
-* duplicate parse-time allocations become garbage immediately instead of
+* duplicate decode-time allocations become garbage immediately instead of
   living for the lifetime of a routing table.
+
+**A value is made canonical once, where it is built.**  The pool is probed
+at exactly one kind of place — where an ``ASPath`` or ``CommunitySet``
+comes into existence from outside the process: when
+:class:`repro.bgp.attributes.LazyPathAttributes` materialises an AS_PATH or
+COMMUNITIES body from wire bytes, and when one is restored from a pickle
+(``__reduce__`` of the two classes; this is what keeps values shared across
+segment files of the persistent cache).  Prefixes and addresses are made
+canonical the same way by the wire caches
+(:meth:`repro.bgp.prefix.Prefix.decode`, :mod:`repro.bgp.wirecache`).
+Nothing above the decode layer knows a pool exists; there is no switch.
 
 Pools are **bounded** (per-kind entry caps; a full pool passes values
 through uninterned rather than evicting), **thread-safe** (lock-free read
 probe, locked insert) and **stats-reporting** (:meth:`InternPool.stats`).
-They pickle cleanly — contents and counters travel, the lock is rebuilt —
-so a pool can cross a process boundary if a consumer wants to
-:meth:`~InternPool.merge` worker-side pools.
 
-Two layers use interning:
-
-* **parse time** — :func:`repro.mrt.records.decode_record_body` interns the
-  freshly decoded values into the process-wide :func:`default_pool`
-  (toggle with :func:`set_parse_interning`, or per-reader via the
-  ``intern=`` knob threaded through the parser);
-* **elem time** — :meth:`repro.core.stream.BGPStream` attaches its pool
-  (``BGPStream(interning=...)``) to every record it yields, and
-  ``BGPStreamRecord.elems()`` canonicalises the fields of each elem through
-  it, writing the canonical objects back into the shared attribute sets so
-  later extractions take the identity fast path.
-
-This module is intentionally dependency-free (stdlib only): it sits below
-``repro.bgp`` / ``repro.mrt`` in the import graph so any layer may use it.
+This module is dependency-free (stdlib only): it sits below ``repro.bgp``
+in the import graph.
 """
 
 from __future__ import annotations
@@ -46,27 +43,18 @@ __all__ = [
     "InternPool",
     "default_pool",
     "reset_default_pool",
-    "parse_interning",
-    "parse_interning_enabled",
-    "set_parse_interning",
-    "parse_pool",
     "DEFAULT_MAX_ENTRIES",
 ]
 
 _T = TypeVar("_T", bound=Hashable)
 
-#: Base per-kind entry cap of a pool.  2**17 distinct AS paths comfortably
+#: Per-kind entry cap of a pool.  2**17 distinct AS paths comfortably
 #: covers a full IPv4 RIB (real tables sit around 60-100k distinct paths).
 DEFAULT_MAX_ENTRIES = 1 << 17
 
-#: Cap multipliers for kinds whose realistic population outgrows the base
-#: cap: a full IPv4 RIB carries ~1M distinct prefixes (~8x the base), so the
-#: prefix kind — the hottest value type of the pipeline — gets 16x headroom.
-KIND_CAP_MULTIPLIERS = {"prefix": 16}
-
 #: The value kinds a pool tracks (used for stats; unknown kinds are allowed
 #: and simply appear in the stats as they are first seen).
-KINDS = ("prefix", "path", "segment", "communities", "community", "string", "peer")
+KINDS = ("path", "segment", "communities", "community")
 
 
 class _CounterBlock:
@@ -97,18 +85,13 @@ class InternPool:
     multi-threaded consumer like the streaming gateway reads are exact, not
     approximate).  When a kind reaches its cap new values pass through
     uninterned (counted as ``overflow``) — bounded memory beats perfect
-    dedup.  The cap is ``max_entries`` per kind, scaled up by
-    :data:`KIND_CAP_MULTIPLIERS` for kinds with larger realistic
-    populations (prefixes).
+    dedup.  The cap is ``max_entries`` per kind.
     """
 
     __slots__ = (
         "max_entries",
-        "_caps",
         "_tables",
-        "_base_hits",
         "_misses",
-        "_base_overflow",
         "_blocks",
         "_local",
         "_lock",
@@ -118,15 +101,8 @@ class InternPool:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._caps: Dict[str, int] = {
-            kind: max_entries * multiplier for kind, multiplier in KIND_CAP_MULTIPLIERS.items()
-        }
         self._tables: Dict[str, dict] = {kind: {} for kind in KINDS}
-        #: Totals carried over from pickling/merging; live deltas sit in the
-        #: per-thread blocks and are folded in on read.
-        self._base_hits: Dict[str, int] = {kind: 0 for kind in KINDS}
         self._misses: Dict[str, int] = {kind: 0 for kind in KINDS}
-        self._base_overflow: Dict[str, int] = {kind: 0 for kind in KINDS}
         self._blocks: list = []
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -148,8 +124,8 @@ class InternPool:
         Caller must hold ``_lock`` (the blocks list must not grow
         mid-iteration; individual block reads are GIL-atomic).
         """
-        hits = dict(self._base_hits)
-        overflow = dict(self._base_overflow)
+        hits: Dict[str, int] = {}
+        overflow: Dict[str, int] = {}
         for block in self._blocks:
             for kind, count in block.hits.items():
                 hits[kind] = hits.get(kind, 0) + count
@@ -172,7 +148,7 @@ class InternPool:
             hits = self._block().hits
             hits[kind] = hits.get(kind, 0) + 1
             return canonical
-        cap = self._caps.get(kind, self.max_entries)
+        cap = self.max_entries
         if len(table) >= cap:
             # Permanently-full kind: stay on the lock-free path.
             overflow = self._block().overflow
@@ -199,15 +175,7 @@ class InternPool:
             overflow[kind] = overflow.get(kind, 0) + 1
         return value
 
-    # -- typed conveniences (the elem-pipeline hot paths) ------------------
-
-    def string(self, value: str) -> str:
-        """Canonicalise a peer address / next hop / collector string."""
-        return self.intern("string", value)
-
-    def prefix(self, value):
-        """Canonicalise a :class:`~repro.bgp.prefix.Prefix`."""
-        return self.intern("prefix", value)
+    # -- typed conveniences (the two probe sites' entry points) ------------
 
     def path(self, value):
         """Canonicalise an :class:`~repro.bgp.aspath.ASPath`.
@@ -253,22 +221,6 @@ class InternPool:
             for table in self._tables.values():
                 table.clear()
 
-    def merge(self, other: "InternPool") -> None:
-        """Fold another pool's canonicals into this one (bound-respecting).
-
-        Useful to pre-warm a stream pool from another process's pool;
-        counters of ``other`` are not carried over.
-        """
-        if other is self:
-            return  # self-merge is a no-op (and the lock is non-reentrant)
-        with other._lock:
-            # Snapshot under the source pool's lock so concurrent inserts
-            # cannot resize the tables mid-iteration.
-            snapshot = [(kind, list(table.values())) for kind, table in other._tables.items()]
-        for kind, values in snapshot:
-            for value in values:
-                self.intern(kind, value)
-
     # -- introspection -----------------------------------------------------
 
     # Introspection takes the lock: intern() can add a first-seen *kind* to
@@ -311,42 +263,13 @@ class InternPool:
             f"hit_rate={self.hit_rate:.3f}, max_entries={self.max_entries})"
         )
 
-    # -- pickling (the lock cannot travel) ---------------------------------
-
-    def __getstate__(self) -> Tuple:
-        with self._lock:
-            # Copy under the lock: pickling iterates the dicts and releases
-            # the GIL into entry __reduce__/__hash__ calls, so a concurrent
-            # insert would otherwise resize them mid-iteration.  Thread
-            # blocks are folded into plain totals — the unpickled pool
-            # starts with fresh blocks.
-            hits, overflow = self._aggregate()
-            return (
-                self.max_entries,
-                {kind: dict(table) for kind, table in self._tables.items()},
-                hits,
-                dict(self._misses),
-                overflow,
-            )
-
-    def __setstate__(self, state: Tuple) -> None:
-        self.max_entries, self._tables, self._base_hits, self._misses, self._base_overflow = state
-        self._caps = {
-            kind: self.max_entries * multiplier
-            for kind, multiplier in KIND_CAP_MULTIPLIERS.items()
-        }
-        self._blocks = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
-
 
 # ---------------------------------------------------------------------------
-# The process-wide default pool and the parse-time interning switch
+# The process-wide default pool
 # ---------------------------------------------------------------------------
 
 _default_pool: Optional[InternPool] = None
 _default_lock = threading.Lock()
-_parse_interning = True
 
 
 def default_pool() -> InternPool:
@@ -367,48 +290,3 @@ def reset_default_pool() -> None:
     global _default_pool
     with _default_lock:
         _default_pool = None
-
-
-def parse_interning_enabled() -> bool:
-    return _parse_interning
-
-
-def set_parse_interning(enabled: bool) -> bool:
-    """Globally enable/disable parse-time interning; returns the previous
-    setting (so callers can restore it)."""
-    global _parse_interning
-    previous = _parse_interning
-    _parse_interning = bool(enabled)
-    return previous
-
-
-def parse_pool(intern: Optional[bool] = None) -> Optional[InternPool]:
-    """The pool parse-time code should intern into, or ``None``.
-
-    ``intern=None`` follows the global switch; ``True`` / ``False`` force
-    the decision per call site (the ``intern=`` knob of the MRT reader
-    ends up here).
-    """
-    if intern is None:
-        intern = _parse_interning
-    return default_pool() if intern else None
-
-
-class parse_interning:
-    """Context manager scoping the global parse-interning switch::
-
-        with parse_interning(False):
-            records = read_dump(path)   # raw, un-deduplicated objects
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._previous: Optional[bool] = None
-
-    def __enter__(self) -> "parse_interning":
-        self._previous = set_parse_interning(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._previous is not None:
-            set_parse_interning(self._previous)

@@ -117,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--parallel", action="store_true", help=argparse.SUPPRESS)
     engine.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     engine.add_argument(
-        "--no-intern", action="store_true",
-        help="disable flyweight interning of parsed BGP values "
-             "(AS paths, community sets, prefixes, peer strings)",
-    )
-    engine.add_argument(
         "--broker-cache", metavar="DIR", default=None,
         help="persistent decoded-segment cache directory: unchanged dump "
              "files replay their decoded records from here instead of "
@@ -161,14 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 def build_stream(args: argparse.Namespace) -> BGPStream:
     """Construct a configured BGPStream from parsed CLI arguments."""
     interface = _build_interface(args)
-    # BGPStream(interning=False) opts this stream's readers out of both
-    # interning layers; the process-wide switch is left alone (an embedding
-    # application may have configured it deliberately).
-    stream = BGPStream(
-        data_interface=interface,
-        interning=not args.no_intern,
-        segment_cache=_build_segment_cache(args),
-    )
+    stream = BGPStream(data_interface=interface, segment_cache=_build_segment_cache(args))
     for project in args.project:
         stream.add_filter("project", project)
     for collector in args.collector:
@@ -276,7 +264,7 @@ def _build_live_interface(args: argparse.Namespace) -> LiveDataInterface:
 
 def run(args: argparse.Namespace, out: IO[str]) -> int:
     """Run BGPReader, writing lines to ``out``; returns the exit status."""
-    from repro import _metrics
+    from repro.core import metrics
 
     stats = args.decode_stats
     metrics_port = args.metrics_port
@@ -286,12 +274,12 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
     if metrics_port is not None or metrics_log is not None:
         # The telemetry tier rides the decode profiling counters for its
         # decode view, so a metrics run enables both.
-        _metrics.enable()
+        metrics.enable()
         profiling.enable()
         if metrics_port is not None:
-            metrics_server = _metrics.start_metrics_server(metrics_port)
+            metrics_server = metrics.start_metrics_server(metrics_port)
         if metrics_log is not None:
-            metrics_emitter = _metrics.MetricsLogEmitter(
+            metrics_emitter = metrics.MetricsLogEmitter(
                 sys.stderr, interval=metrics_log
             ).start()
     if stats:
@@ -304,7 +292,7 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
         if metrics_server is not None:
             metrics_server.close()
         if metrics_port is not None or metrics_log is not None:
-            _metrics.disable()
+            metrics.disable()
             if not stats:
                 profiling.disable()
         if stats:

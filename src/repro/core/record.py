@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Tuple
 
-from repro import _profiling as profiling
 from repro.bgp.attributes import LazyPathAttributes
+from repro.core import profiling
 from repro.core.elem import BGPElem, ElemType
-from repro.core.intern import InternPool
 from repro.mrt.records import (
     BGP4MPMessage,
     BGP4MPStateChange,
@@ -31,37 +30,8 @@ from repro.mrt.records import (
 )
 
 
-def _canonical_attrs(attrs, pool: InternPool):
-    """Canonicalise a shared attribute set through ``pool``, with write-back.
-
-    One attribute set fans out into many elems, so the canonical path and
-    community set are written back into it: later extractions of the same
-    record (or of other records sharing the cached attrs) then take the
-    identity fast path in the pool.  Returns ``(as_path, communities)``.
-
-    The ``_canonical_for`` marker records which pool the set was last
-    written back through, so repeated ``elems()`` calls on the same (or a
-    cache-shared) record skip the write-back pass entirely.
-    """
-    if attrs._canonical_for is pool:
-        return attrs.as_path, attrs.communities
-    as_path = attrs.as_path
-    canonical = pool.path(as_path)
-    if canonical is not as_path:
-        attrs.as_path = as_path = canonical
-    communities = attrs.communities
-    canonical = pool.communities(communities)
-    if canonical is not communities:
-        attrs.communities = communities = canonical
-    attrs._canonical_for = pool
-    return as_path, communities
-
-
-_get_elem_next_hop = BGPElem.__dict__["next_hop"].__get__
 _set_elem_next_hop = BGPElem.__dict__["next_hop"].__set__
-_get_elem_as_path = BGPElem.__dict__["as_path"].__get__
 _set_elem_as_path = BGPElem.__dict__["as_path"].__set__
-_get_elem_communities = BGPElem.__dict__["communities"].__get__
 _set_elem_communities = BGPElem.__dict__["communities"].__set__
 
 
@@ -71,12 +41,11 @@ class LazyBGPElem(BGPElem):
     The cheap gate fields the filter layer probes first (type, time, peer,
     prefix) are set eagerly; ``next_hop`` / ``as_path`` / ``communities``
     resolve from the (lazy) attribute set only when actually read — so an
-    elem the filters reject never parses its path attributes, and interning
-    / canonicalisation only runs for survivors.  Pickling produces a plain
-    :class:`BGPElem`.
+    elem the filters reject never parses (or interns) its path attributes.
+    Pickling produces a plain :class:`BGPElem`.
     """
 
-    __slots__ = ("_attrs", "_version", "_pool", "_ready")
+    __slots__ = ("_attrs", "_version", "_ready")
 
     def __init__(
         self,
@@ -87,7 +56,6 @@ class LazyBGPElem(BGPElem):
         prefix,
         attrs,
         version,
-        pool,
         project,
         collector,
     ) -> None:
@@ -105,23 +73,13 @@ class LazyBGPElem(BGPElem):
         self.collector = collector
         self._attrs = attrs
         self._version = version
-        self._pool = pool
         self._ready = False
 
     def _fill(self) -> None:
         attrs = self._attrs
-        pool = self._pool
-        next_hop = attrs.effective_next_hop(self._version)
-        if pool is not None:
-            as_path, communities = _canonical_attrs(attrs, pool)
-            if next_hop is not None:
-                next_hop = pool.string(next_hop)
-        else:
-            as_path = attrs.as_path
-            communities = attrs.communities
-        _set_elem_next_hop(self, next_hop)
-        _set_elem_as_path(self, as_path)
-        _set_elem_communities(self, communities)
+        _set_elem_next_hop(self, attrs.effective_next_hop(self._version))
+        _set_elem_as_path(self, attrs.as_path)
+        _set_elem_communities(self, attrs.communities)
         # Flag readiness last: a racing reader that saw False just repeats
         # the (idempotent) fill instead of observing half-set fields.
         self._ready = True
@@ -196,11 +154,7 @@ class DumpPosition(Enum):
 class BGPStreamRecord:
     """One annotated record of the stream.
 
-    Slotted like every other hot object of the pipeline.  ``intern_pool``
-    is transport, not identity: the stream attaches its flyweight pool here
-    so :meth:`elems` can canonicalise elem fields (and it is excluded from
-    equality/repr and dropped on pickling — every process builds its own
-    pool).
+    Slotted like every other hot object of the pipeline.
     """
 
     project: str
@@ -215,15 +169,13 @@ class BGPStreamRecord:
     #: The monitored router the record came from, for records delivered over
     #: a live BMP feed (empty for archive replay; see :mod:`repro.bmp`).
     router: str = ""
-    #: The flyweight pool elems are canonicalised through (set by the stream).
-    intern_pool: Optional[InternPool] = field(default=None, repr=False, compare=False)
     _elem_iter: Optional[Iterator[BGPElem]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __getstate__(self) -> Tuple:
-        # The elem cursor (a generator) and the pool do not travel across
-        # process boundaries; everything else does.
+        # The elem cursor (a generator) does not travel across process
+        # boundaries; everything else does.
         return (
             self.project,
             self.collector,
@@ -248,7 +200,6 @@ class BGPStreamRecord:
             self.peer_table,
             self.router,
         ) = state
-        self.intern_pool = None
         self._elem_iter = None
 
     @property
@@ -289,13 +240,8 @@ class BGPStreamRecord:
             return None
 
     def _rib_elems(self, body: RIBPrefixRecord) -> Iterator[BGPElem]:
-        pool = self.intern_pool
         timestamp = self.mrt.timestamp
         prefix = body.prefix
-        if pool is not None:
-            canonical = pool.prefix(prefix)
-            if canonical is not prefix:
-                body.prefix = prefix = canonical
         version = prefix.version
         counters = profiling.counters
         for entry in body.entries:
@@ -309,8 +255,6 @@ class BGPStreamRecord:
             if type(attrs) is LazyPathAttributes and attrs._deferred:
                 # Attribute values still deferred: hand out a lazy elem so
                 # the filter gate can reject it without parsing them.
-                if pool is not None:
-                    peer_address = pool.string(peer_address)
                 if counters is not None:
                     counters.lazy_elems += 1
                 yield LazyBGPElem(
@@ -321,19 +265,10 @@ class BGPStreamRecord:
                     prefix,
                     attrs,
                     version,
-                    pool,
                     self.project,
                     self.collector,
                 )
                 continue
-            as_path = attrs.as_path
-            communities = attrs.communities
-            next_hop = attrs.effective_next_hop(version)
-            if pool is not None:
-                peer_address = pool.string(peer_address)
-                as_path, communities = _canonical_attrs(attrs, pool)
-                if next_hop is not None:
-                    next_hop = pool.string(next_hop)
             if counters is not None:
                 counters.eager_elems += 1
             yield BGPElem(
@@ -342,30 +277,20 @@ class BGPStreamRecord:
                 peer_address=peer_address,
                 peer_asn=peer_asn,
                 prefix=prefix,
-                next_hop=next_hop,
-                as_path=as_path,
-                communities=communities,
+                next_hop=attrs.effective_next_hop(version),
+                as_path=attrs.as_path,
+                communities=attrs.communities,
                 project=self.project,
                 collector=self.collector,
             )
 
     def _message_elems(self, body: BGP4MPMessage) -> Iterator[BGPElem]:
-        pool = self.intern_pool
         timestamp = self.mrt.timestamp
         update = body.update
         attrs = update.attributes
         peer_address = body.peer_address
-        if pool is not None:
-            peer_address = pool.string(peer_address)
         lazy = type(attrs) is LazyPathAttributes and bool(attrs._deferred)
-        if not lazy:
-            as_path = attrs.as_path
-            communities = attrs.communities
-            if pool is not None:
-                as_path, communities = _canonical_attrs(attrs, pool)
         for prefix in update.all_withdrawn:
-            if pool is not None:
-                prefix = pool.prefix(prefix)
             yield BGPElem(
                 elem_type=ElemType.WITHDRAWAL,
                 time=timestamp,
@@ -377,8 +302,6 @@ class BGPStreamRecord:
             )
         counters = profiling.counters
         for prefix in update.all_announced:
-            if pool is not None:
-                prefix = pool.prefix(prefix)
             if lazy:
                 if counters is not None:
                     counters.lazy_elems += 1
@@ -390,14 +313,10 @@ class BGPStreamRecord:
                     prefix,
                     attrs,
                     prefix.version,
-                    pool,
                     self.project,
                     self.collector,
                 )
                 continue
-            next_hop = attrs.effective_next_hop(prefix.version)
-            if pool is not None and next_hop is not None:
-                next_hop = pool.string(next_hop)
             if counters is not None:
                 counters.eager_elems += 1
             yield BGPElem(
@@ -406,22 +325,18 @@ class BGPStreamRecord:
                 peer_address=peer_address,
                 peer_asn=body.peer_asn,
                 prefix=prefix,
-                next_hop=next_hop,
-                as_path=as_path,
-                communities=communities,
+                next_hop=attrs.effective_next_hop(prefix.version),
+                as_path=attrs.as_path,
+                communities=attrs.communities,
                 project=self.project,
                 collector=self.collector,
             )
 
     def _state_elem(self, body: BGP4MPStateChange) -> BGPElem:
-        pool = self.intern_pool
-        peer_address = body.peer_address
-        if pool is not None:
-            peer_address = pool.string(peer_address)
         return BGPElem(
             elem_type=ElemType.STATE,
             time=self.mrt.timestamp,
-            peer_address=peer_address,
+            peer_address=body.peer_address,
             peer_asn=body.peer_asn,
             old_state=body.old_state,
             new_state=body.new_state,

@@ -42,33 +42,33 @@ import random
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type, Union
 
-from repro import _metrics
+from repro.core import metrics
 from repro.utils.timeutil import Clock, SystemClock
 
 #: Telemetry (see docs/OBSERVABILITY.md).  The resilience tier is exactly
 #: the machinery an operator most needs to see working — retries, breaker
 #: trips, supervised restarts — so every primitive reports here when
-#: ``repro._metrics.enabled`` (one global load per event otherwise).
-_retry_attempts = _metrics.counter(
+#: ``repro.core.metrics.enabled`` (one global load per event otherwise).
+_retry_attempts = metrics.counter(
     "repro_resilience_retry_attempts_total",
     "Retries performed by RetryPolicy.run across every call site.",
 )
-_breaker_transitions = _metrics.counter(
+_breaker_transitions = metrics.counter(
     "repro_resilience_breaker_transitions_total",
     "Circuit-breaker state transitions, labeled by the state entered.",
     labelnames=("state",),
 )
-_breaker_state = _metrics.gauge(
+_breaker_state = metrics.gauge(
     "repro_resilience_breaker_state",
     "Current circuit-breaker state per breaker "
     "(0 = closed, 1 = half-open, 2 = open).",
     labelnames=("breaker",),
 )
-_breaker_rejections = _metrics.counter(
+_breaker_rejections = metrics.counter(
     "repro_resilience_breaker_rejections_total",
     "Calls failed fast because a circuit breaker was open.",
 )
-_supervisor_events = _metrics.counter(
+_supervisor_events = metrics.counter(
     "repro_resilience_supervisor_events_total",
     "Supervisor lifecycle events (crash, restart, give_up, finish).",
     labelnames=("event",),
@@ -220,7 +220,7 @@ class RetryPolicy:
                     raise
                 delay = self.delay(attempt)
                 attempt += 1
-                if _metrics.enabled:
+                if metrics.enabled:
                     _retry_attempts.inc()
                 if on_retry is not None:
                     on_retry(attempt, exc, delay)
@@ -299,7 +299,7 @@ class CircuitBreaker:
 
     def _note_transition_locked(self) -> None:
         """Record the state just entered in the telemetry registry."""
-        if not _metrics.enabled:
+        if not metrics.enabled:
             return
         state = self._state
         _breaker_transitions.inc(state=state)
@@ -351,7 +351,7 @@ class CircuitBreaker:
         if not self.allow():
             with self._lock:
                 self.rejections += 1
-            if _metrics.enabled:
+            if metrics.enabled:
                 _breaker_rejections.inc()
             label = f" {self.name!r}" if self.name else ""
             raise CircuitOpenError(f"circuit{label} is open")
@@ -434,27 +434,27 @@ class Supervisor:
             except Exception as exc:  # noqa: BLE001 - the whole point
                 self.crashes += 1
                 self.last_error = exc
-                if _metrics.enabled:
+                if metrics.enabled:
                     _supervisor_events.inc(event="crash")
                 proceed = self.crashes <= self.max_restarts
                 if proceed and self.on_crash is not None:
                     proceed = self.on_crash(exc, self.crashes) is not False
                 if not proceed:
                     self.gave_up = True
-                    if _metrics.enabled:
+                    if metrics.enabled:
                         _supervisor_events.inc(event="give_up")
                     if self.on_give_up is not None:
                         self.on_give_up(exc)
                     raise
                 delay = self.backoff.delay(self.crashes - 1)
                 self.restarts += 1
-                if _metrics.enabled:
+                if metrics.enabled:
                     _supervisor_events.inc(event="restart")
                 if delay > 0:
                     self.clock.sleep(delay)
             else:
                 self.finished = True
-                if _metrics.enabled:
+                if metrics.enabled:
                     _supervisor_events.inc(event="finish")
                 return
 

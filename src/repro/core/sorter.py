@@ -23,7 +23,7 @@ import time
 from itertools import count
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from repro import _metrics
+from repro.core import metrics
 from repro.core.interfaces import DumpFileSpec
 from repro.core.record import BGPStreamRecord, DumpPosition, RecordStatus
 from repro.mrt.parser import MRTDumpReader, MRTParseError, file_signature
@@ -45,9 +45,6 @@ class DumpFileReader:
     * The first and last records of a readable dump are marked with the
       START / END dump positions so users can collate whole RIB dumps.
 
-    ``intern`` forwards the parse-time flyweight-interning knob to the MRT
-    reader (``None`` follows the process-wide switch).
-
     ``segment_cache`` is an optional persistent decoded-segment cache
     (:class:`repro.broker.segments.SegmentCache`): a hit replays the file's
     annotated records without touching the MRT wire bytes; a miss reads
@@ -55,14 +52,8 @@ class DumpFileReader:
     stores the decoded segment for the next run.
     """
 
-    def __init__(
-        self,
-        spec: DumpFileSpec,
-        intern: Optional[bool] = None,
-        segment_cache=None,
-    ) -> None:
+    def __init__(self, spec: DumpFileSpec, segment_cache=None) -> None:
         self.spec = spec
-        self.intern = intern
         self.segment_cache = segment_cache
 
     def __iter__(self) -> Iterator[BGPStreamRecord]:
@@ -94,7 +85,7 @@ class DumpFileReader:
         ``repro_stage_latency_seconds{stage="decode"}`` per dump file.
         Disabled metrics take the plain path — zero added work.
         """
-        if not _metrics.enabled:
+        if not metrics.enabled:
             yield from self._read()
             return
         inner = self._read()
@@ -106,7 +97,7 @@ class DumpFileReader:
                 record = next(inner)
             except StopIteration:
                 spent += perf_counter() - started
-                _metrics.stage_latency.labels("decode").observe(spent)
+                metrics.stage_latency.labels("decode").observe(spent)
                 return
             spent += perf_counter() - started
             yield record
@@ -114,7 +105,7 @@ class DumpFileReader:
     def _read(self) -> Iterator[BGPStreamRecord]:
         spec = self.spec
         try:
-            reader = MRTDumpReader(spec.path, intern=self.intern)
+            reader = MRTDumpReader(spec.path)
             reader.open()
         except MRTParseError:
             yield BGPStreamRecord(
@@ -173,20 +164,12 @@ class DumpFileReader:
 class SortedRecordMerger:
     """Group a dump-file set by overlapping intervals and merge each group.
 
-    ``intern`` forwards the parse-time flyweight-interning knob to every
-    :class:`DumpFileReader` it opens (``None`` follows the process-wide
-    switch); ``segment_cache`` forwards an optional persistent
-    decoded-segment cache.
+    ``segment_cache`` forwards an optional persistent decoded-segment cache
+    to every :class:`DumpFileReader` it opens.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[DumpFileSpec],
-        intern: Optional[bool] = None,
-        segment_cache=None,
-    ) -> None:
+    def __init__(self, specs: Sequence[DumpFileSpec], segment_cache=None) -> None:
         self.specs = list(specs)
-        self.intern = intern
         self.segment_cache = segment_cache
 
     # -- grouping ------------------------------------------------------------
@@ -217,15 +200,10 @@ class SortedRecordMerger:
     def _merge_subset(self, subset: Sequence[DumpFileSpec]) -> Iterator[BGPStreamRecord]:
         """Multi-way merge of the (already time-ordered) files of one subset."""
         if len(subset) == 1:
-            yield from DumpFileReader(
-                subset[0], intern=self.intern, segment_cache=self.segment_cache
-            )
+            yield from DumpFileReader(subset[0], segment_cache=self.segment_cache)
             return
         yield from merge_record_iterators(
-            [
-                iter(DumpFileReader(spec, intern=self.intern, segment_cache=self.segment_cache))
-                for spec in subset
-            ]
+            [iter(DumpFileReader(spec, segment_cache=self.segment_cache)) for spec in subset]
         )
 
     # -- introspection (used by benchmarks) ---------------------------------------

@@ -43,8 +43,8 @@ Three idioms are supported:
 All three idioms also run in **live mode**: with a live data interface
 (``BGPStream(live={"broker": message_broker})``, or
 ``data_interface="kafka"``) the records come off a BMP-over-Kafka feed
-(:mod:`repro.bmp`) instead of dump files, flow through the same filter and
-intern pipeline, and an ``add_interval_filter(t0, until_ts)`` bounds the
+(:mod:`repro.bmp`) instead of dump files, flow through the same filter
+pipeline, and an ``add_interval_filter(t0, until_ts)`` bounds the
 live window so bin-oriented consumers terminate deterministically.
 """
 
@@ -53,9 +53,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro import _metrics
 from repro.bgp.attributes import LazyPathAttributes
 from repro.broker.broker import Broker
+from repro.core import metrics
 from repro.core.elem import BGPElem
 from repro.core.filters import FilterSet
 from repro.core.intern import InternPool, default_pool
@@ -73,35 +73,25 @@ from repro.mrt.records import BGP4MPMessage, RIBPrefixRecord
 class BGPStream:
     """A configurable, sorted stream of BGP measurement data.
 
-    ``interning`` selects the flyweight pool elems are canonicalised
-    through (:mod:`repro.core.intern`):
-
-    * ``True`` (default) — share the process-wide pool (the one parse-time
-      interning fills, so elem extraction mostly takes identity fast paths);
-    * an :class:`~repro.core.intern.InternPool` — a private, isolated pool
-      for this stream: elem-visible values are canonicalised through it and
-      decode-time interning into the shared default pool is switched off
-      for this stream's reads (isolation would otherwise leak);
-    * ``False`` / ``None`` — no interning for this stream: neither the elem
-      pipeline nor the parse-time dedup of the dump files it reads (the
-      ``intern=False`` knob is threaded through the dump-file readers).
-      This is what ``bgpreader --no-intern`` configures.  Other streams
-      and direct :func:`repro.mrt.parser.read_dump` calls follow the
-      process-wide switch (:func:`repro.core.intern.set_parse_interning`),
-      which this knob never touches.
-
     Attribute blocks are always recorded as zero-copy slices and decoded on
     first read (:mod:`repro.bgp.attributes`), so filtered-out elems never
     pay for values nobody looks at.  ``eager=True`` materialises every
     attribute set of a record just before the stream delivers it; elem
-    values, corruption signals and intern pools are identical either way.
+    values and corruption signals are identical either way.
+
+    Equal AS paths, community sets, prefixes and address strings are shared
+    objects across every elem the process produces; the decode layer sees
+    to that (:mod:`repro.core.intern`) and the stream has no say in it.
     """
 
     def __init__(
         self,
         data_interface: Union[DataInterface, str, None] = None,
         filters: Optional[FilterSet] = None,
-        interning: Union[bool, InternPool, None] = True,
+        # Accepted and ignored: interning is not a mode any more, and the
+        # argument survives only because the frozen ledger passes it
+        # (``ledger/live.py:90``).
+        interning: object = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
         eager: Optional[bool] = None,
@@ -157,18 +147,9 @@ class BGPStream:
         self._started = False
         self._record_iter: Optional[Iterator[BGPStreamRecord]] = None
         self._batched_consumer = False
-        self.intern_pool = self._resolve_interning(interning)
         #: Counters useful for benchmarks and sanity checks.
         self.records_read = 0
         self.records_filtered = 0
-
-    @staticmethod
-    def _resolve_interning(
-        interning: Union[bool, InternPool, None],
-    ) -> Optional[InternPool]:
-        if isinstance(interning, InternPool):
-            return interning
-        return default_pool() if interning else None
 
     # -- configuration ------------------------------------------------------------
 
@@ -187,17 +168,10 @@ class BGPStream:
         """True when the stream reads a live feed rather than dump files."""
         return getattr(self._interface, "yields_records", False)
 
-    def set_interning(self, interning: Union[bool, InternPool, None]) -> "BGPStream":
-        """Change the elem-pipeline intern pool (before :meth:`start`)."""
-        if self._started:
-            raise RuntimeError("cannot change interning after start()")
-        self.intern_pool = self._resolve_interning(interning)
-        return self
-
-    def intern_stats(self) -> Optional[Dict[str, Dict[str, int]]]:
-        """Per-kind ``{size, hits, misses, overflow}`` stats of the stream's
-        intern pool, or ``None`` when interning is disabled."""
-        return self.intern_pool.stats() if self.intern_pool is not None else None
+    @property
+    def intern_pool(self) -> InternPool:
+        """The process-wide intern pool (a read-only view, for its stats)."""
+        return default_pool()
 
     def add_filter(self, name: str, value: str) -> "BGPStream":
         """Add one named filter (see :mod:`repro.core.filters`).
@@ -232,21 +206,6 @@ class BGPStream:
         self._started = True
         return self
 
-    @property
-    def _parse_intern(self) -> Optional[bool]:
-        """The parse-time knob for this stream's readers.
-
-        Follow the global switch only when the stream shares the process
-        pool (decode-time canonicals then are the ones elems reference).  A
-        private pool means *isolation*: decode-time interning into the
-        shared default pool is forced off too, and the stream's own pool
-        dedups the elem-visible values instead.  ``interning=False`` forces
-        both layers off.
-        """
-        if self.intern_pool is None or self.intern_pool is not default_pool():
-            return False
-        return None
-
     def _windows(self) -> Iterator[Iterator[BGPStreamRecord]]:
         """One filtered, time-sorted record iterator per live poll or per
         meta-data window of dump files.
@@ -264,22 +223,16 @@ class BGPStream:
             return
         for file_batch in interface.batches(self.filters):
             yield self._filtered(
-                SortedRecordMerger(
-                    file_batch,
-                    intern=self._parse_intern,
-                    segment_cache=self._segment_cache,
-                )
+                SortedRecordMerger(file_batch, segment_cache=self._segment_cache)
             )
 
     def _filtered(self, records: Iterable[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
-        pool = self.intern_pool
         eager = self._eager
         for record in records:
             self.records_read += 1
             if not self._record_passes(record):
                 self.records_filtered += 1
                 continue
-            record.intern_pool = pool
             if eager:
                 _materialise_attributes(record)
             yield record
@@ -342,10 +295,10 @@ class BGPStream:
     def elems(self) -> Iterator[Tuple[BGPStreamRecord, BGPElem]]:
         """Iterate ``(record, elem)`` pairs matching the elem-level filters."""
         for record in self.records():
-            if _metrics.enabled:
+            if metrics.enabled:
                 # One ``filter`` span per record: extraction + match_elem
                 # over the record's elems (the consumer's time is outside).
-                with _metrics.trace_span("filter"):
+                with metrics.trace_span("filter"):
                     matched = [
                         elem for elem in record.elems() if self.filters.match_elem(elem)
                     ]

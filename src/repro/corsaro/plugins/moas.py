@@ -81,6 +81,3 @@ class MOASPlugin(Plugin):
             moas_sets=frozenset(moas_sets),
             moas_prefixes=tuple(sorted(moas_prefixes, key=lambda item: item[0])),
         )
-
-    def collector_scopes(self) -> Set[str]:
-        return {scope for scope, _ in self._origins}

@@ -26,12 +26,6 @@ class VisibilityOutput:
     per_origin: Tuple[Tuple[int, int], ...]  # (origin ASN, visible prefix count)
     per_country: Tuple[Tuple[str, int], ...]  # (country, visible prefix count)
 
-    def origin_count(self, asn: int) -> int:
-        return dict(self.per_origin).get(asn, 0)
-
-    def country_count(self, country: str) -> int:
-        return dict(self.per_country).get(country, 0)
-
 
 class VisibilityPlugin(Plugin):
     """Track per-prefix visibility across VPs (§5 outage analysis): how

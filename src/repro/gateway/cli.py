@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     engine = parser.add_argument_group("engine")
-    engine.add_argument("--no-intern", action="store_true",
-                        help="disable flyweight interning of parsed BGP values")
     engine.add_argument("--decode-stats", action="store_true",
                         help="enable decode-tier counters (served under /stats; "
                              "printed as #-lines on exit)")
@@ -133,7 +131,7 @@ def build_hub(args: argparse.Namespace) -> StreamHub:
             max_empty_polls=args.idle_polls,
             poll_interval=args.poll_interval,
         )
-        return BGPStream(data_interface=interface, interning=not args.no_intern)
+        return BGPStream(data_interface=interface)
 
     return StreamHub(
         stream_factory=stream_factory,
@@ -182,7 +180,7 @@ async def _amain(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def run(args: argparse.Namespace, out: IO[str]) -> int:
-    from repro import _metrics
+    from repro.core import metrics
 
     metrics_on = bool(getattr(args, "metrics", False)) or (
         getattr(args, "metrics_port", None) is not None
@@ -191,10 +189,10 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
     if metrics_on:
         # Decode profiling feeds the registry's decode tier, so a metrics
         # gateway turns it on too (the counters are cheap per record).
-        _metrics.enable()
+        metrics.enable()
         profiling.enable()
         if args.metrics_port is not None:
-            metrics_server = _metrics.start_metrics_server(args.metrics_port)
+            metrics_server = metrics.start_metrics_server(args.metrics_port)
     if args.decode_stats:
         profiling.enable()
     try:
@@ -203,7 +201,7 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
         if metrics_server is not None:
             metrics_server.close()
         if metrics_on:
-            _metrics.disable()
+            metrics.disable()
             if not args.decode_stats:
                 profiling.disable()
         if args.decode_stats:

@@ -5,7 +5,7 @@ The :class:`StreamHub` owns a live :class:`~repro.core.stream.BGPStream`
 Every elem is decoded exactly once; each :class:`Subscriber` then sees the
 shared elem objects through its own trie-backed
 :class:`~repro.core.filters.FilterSet` and its own event-time window —
-never a re-decode — and all subscribers share the stream's intern pool.
+never a re-decode.
 
 Fan-out goes through a *subscription index*, not over the roster: the hub
 files every subscriber under the prefixes it watches in one shared
@@ -63,7 +63,7 @@ import threading
 from itertools import chain
 from typing import Callable, Collection, Dict, List, Optional
 
-from repro import _metrics
+from repro.core import metrics
 from repro.bgp.prefix import Prefix
 from repro.bgp.trie import PrefixTrie
 from repro.core.elem import BGPElem
@@ -92,36 +92,36 @@ DEFAULT_MAX_RESTARTS = 3
 #: view is *bridged* — ``collected=True`` families are reset each scrape
 #: and repopulated by a weakref-bound collector per live hub, summing over
 #: hubs and their subscribers.  The hot path pays nothing for them.
-_hub_records = _metrics.counter(
+_hub_records = metrics.counter(
     "repro_hub_records_total",
     "Records the hub decode loop consumed, summed over live hubs.",
     collected=True,
 )
-_hub_elems = _metrics.counter(
+_hub_elems = metrics.counter(
     "repro_hub_elems_total",
     "Elems seen by the decode loop vs admitted into subscriber windows.",
     labelnames=("kind",),
     collected=True,
 )
-_hub_windows = _metrics.counter(
+_hub_windows = metrics.counter(
     "repro_hub_windows_total",
     "Subscriber window events (closed, coalesced, dropped), summed over "
     "every subscriber of every live hub.",
     labelnames=("event",),
     collected=True,
 )
-_hub_elems_dropped = _metrics.counter(
+_hub_elems_dropped = metrics.counter(
     "repro_hub_backpressure_dropped_elems_total",
     "Elems discarded by subscriber backpressure (coalesce-budget "
     "truncation and wholly dropped windows).",
     collected=True,
 )
-_hub_subscribers = _metrics.gauge(
+_hub_subscribers = metrics.gauge(
     "repro_hub_subscribers",
     "Subscribers currently attached, summed over live hubs.",
     collected=True,
 )
-_hub_queue_depth = _metrics.gauge(
+_hub_queue_depth = metrics.gauge(
     "repro_hub_subscriber_queue_depth",
     "Ready (undelivered) windows queued per named subscriber; anonymous "
     "subscribers aggregate under 'anonymous'.",
@@ -560,7 +560,7 @@ class StreamHub:
         self.error: Optional[BaseException] = None
         # Bridge this hub into the telemetry registry for as long as the
         # instance lives (weakref-owned — no deregistration needed).
-        _metrics.default_registry().add_collector(StreamHub._collect_metrics, owner=self)
+        metrics.default_registry().add_collector(StreamHub._collect_metrics, owner=self)
 
     def _collect_metrics(self) -> None:
         """Scrape-time bridge: fold this hub's exact counters in."""
@@ -713,8 +713,8 @@ class StreamHub:
             # something changed.
             if self._index_stale:
                 self._rebuild_index()
-            if _metrics.enabled:
-                with _metrics.trace_span("fanout"):
+            if metrics.enabled:
+                with metrics.trace_span("fanout"):
                     self._fan_out(record)
             else:
                 self._fan_out(record)
@@ -821,10 +821,8 @@ class StreamHub:
         if source is not None:
             body["frames_decoded"] = getattr(source, "frames_decoded", None)
             body["corrupt_frames"] = getattr(source, "corrupt_frames", None)
-        pool = self.stream.intern_pool
-        if pool is not None:
-            body["intern"] = {
-                kind: counters["hits"] + counters["misses"] + counters["overflow"]
-                for kind, counters in pool.stats().items()
-            }
+        body["intern"] = {
+            kind: counters["hits"] + counters["misses"] + counters["overflow"]
+            for kind, counters in self.stream.intern_pool.stats().items()
+        }
         return body

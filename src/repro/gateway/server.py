@@ -51,7 +51,7 @@ import uuid
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro import _metrics
+from repro.core import metrics
 from repro.core import profiling
 from repro.core.filters import _FILTER_NAMES, FilterSet
 from repro.gateway.hub import (
@@ -91,17 +91,17 @@ SEND_BATCH_WINDOWS = 32
 
 #: Telemetry (see docs/OBSERVABILITY.md): bridged per live server by a
 #: weakref-bound collector, summed when several servers share a process.
-_gw_sessions = _metrics.gauge(
+_gw_sessions = metrics.gauge(
     "repro_gateway_sessions",
     "Durable gateway sessions currently registered (attached + parked).",
     collected=True,
 )
-_gw_connections = _metrics.counter(
+_gw_connections = metrics.counter(
     "repro_gateway_connections_total",
     "HTTP connections the gateway has accepted (all endpoints).",
     collected=True,
 )
-_gw_reaped = _metrics.counter(
+_gw_reaped = metrics.counter(
     "repro_gateway_sessions_reaped_total",
     "Parked sessions dropped after idling past their TTL.",
     collected=True,
@@ -190,7 +190,7 @@ class GatewayServer:
         self.sessions_reaped = 0
         self.started_at = time.monotonic()
         # Bridge this server into the telemetry registry (weakref-owned).
-        _metrics.default_registry().add_collector(
+        metrics.default_registry().add_collector(
             GatewayServer._collect_metrics, owner=self
         )
 
@@ -332,7 +332,7 @@ class GatewayServer:
         )
 
     async def _serve_metrics(self, writer: asyncio.StreamWriter) -> None:
-        body = _metrics.exposition().encode("utf-8")
+        body = metrics.exposition().encode("utf-8")
         writer.write(
             http_response(
                 "200 OK",
@@ -457,7 +457,7 @@ class GatewayServer:
                     writer.write(sse_heartbeat())
                     await writer.drain()
                     continue
-                with _metrics.trace_span("deliver"):
+                with metrics.trace_span("deliver"):
                     writer.writelines(
                         [
                             sse_event(body, event="window", event_id=token)
@@ -491,7 +491,7 @@ class GatewayServer:
                     writer.write(encode_ws_frame(b"heartbeat", OP_PING))
                     await writer.drain()
                     continue
-                with _metrics.trace_span("deliver"):
+                with metrics.trace_span("deliver"):
                     writer.writelines(
                         [
                             encode_ws_frame(protocol.dumps(body).encode("utf-8"), OP_TEXT)

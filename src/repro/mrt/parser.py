@@ -32,14 +32,9 @@ import struct
 import zlib
 from typing import IO, Iterator, List, Optional, Tuple
 
-from repro import _profiling as profiling
+from repro.core import profiling
 from repro.mrt.constants import MRT_HEADER_LEN, MRTType
-from repro.mrt.records import (
-    CorruptRecord,
-    MRTHeader,
-    MRTRecord,
-    make_body_decoder,
-)
+from repro.mrt.records import CorruptRecord, MRTHeader, MRTRecord, decode_record_body
 
 #: gzip magic bytes, used to auto-detect compressed dumps.
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -97,24 +92,14 @@ class MRTDumpReader:
     argument survives only because the frozen ledger passes it
     (``ledger/hist.py:440``).
 
-    ``intern`` controls parse-time flyweight interning of the decoded values
-    (AS paths, community sets, prefixes, peer/address strings — see
-    :mod:`repro.core.intern`): ``None`` follows the process-wide switch,
-    ``True`` / ``False`` force it for this reader.  The bulk scan hands
-    zero-copy ``memoryview`` slices of the dump buffer to the decode layer,
-    so path attributes are parsed only when an elem consumer actually reads
-    them (records pin their dump buffer until their deferred attributes
-    materialise).
+    The bulk scan hands zero-copy ``memoryview`` slices of the dump buffer
+    to the decode layer, so path attributes are parsed only when an elem
+    consumer actually reads them (records pin their dump buffer until their
+    deferred attributes materialise).
     """
 
-    def __init__(
-        self,
-        path: str,
-        use_index: bool = True,
-        intern: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, path: str, use_index: bool = True) -> None:
         self.path = path
-        self.intern = intern
         self._raw: Optional[IO[bytes]] = None
         self._handle: Optional[IO[bytes]] = None
         self._compressed = False
@@ -193,7 +178,6 @@ class MRTDumpReader:
     # for implausibly large files and corrupt gzip streams.
     def _iter_streaming(self, handle: IO[bytes]) -> Iterator[MRTRecord]:
         unpack = _HEADER_STRUCT.unpack
-        decode_body = make_body_decoder(self.intern)
         counters = profiling.counters
         while True:
             try:
@@ -226,7 +210,7 @@ class MRTDumpReader:
             if counters is not None:
                 counters.records_scanned += 1
                 counters.bytes_copied += MRT_HEADER_LEN + body_length
-            body = decode_body(header, header.subtype, body_bytes)
+            body = decode_record_body(header, header.subtype, body_bytes)
             yield MRTRecord(header, body)
 
     # The bulk scan: the whole (decompressed) dump parsed from one buffer.
@@ -235,7 +219,6 @@ class MRTDumpReader:
         # extraction and deferred attribute slice below is a zero-copy view
         # of this one allocation.
         view = memoryview(data)
-        decode_body = make_body_decoder(self.intern)
         counters = profiling.counters
         unpack_from = _HEADER_STRUCT.unpack_from
         size = len(data)
@@ -263,7 +246,7 @@ class MRTDumpReader:
                 break
             body_view = view[body_offset : body_offset + body_length]
             scanned += 1
-            yield MRTRecord(header, decode_body(header, subtype, body_view))
+            yield MRTRecord(header, decode_record_body(header, subtype, body_view))
             offset = body_offset + body_length
         if counters is not None:
             counters.records_scanned += scanned
@@ -284,9 +267,9 @@ def _decompress_bounded(blob: bytes, limit: int) -> Optional[bytes]:
         return None
 
 
-def read_dump(path: str, intern: Optional[bool] = None) -> List[MRTRecord]:
+def read_dump(path: str) -> List[MRTRecord]:
     """Read an entire dump file into a list of records."""
-    with MRTDumpReader(path, intern=intern) as reader:
+    with MRTDumpReader(path) as reader:
         return list(reader)
 
 

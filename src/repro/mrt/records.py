@@ -11,9 +11,9 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from repro.bgp.attributes import LazyPathAttributes, PathAttributes, decode_attributes
+from repro.bgp.attributes import PathAttributes, decode_attributes
 from repro.bgp.fsm import SessionState
 from repro.bgp.message import BGPUpdate, decode_update
 from repro.bgp.prefix import Prefix
@@ -342,52 +342,18 @@ class MRTRecord:
         return cls(header, change)
 
 
-def decode_record_body(
-    header: MRTHeader,
-    subtype: int,
-    body: bytes,
-    intern: Optional[bool] = None,
-) -> MRTBody:
+def decode_record_body(header: MRTHeader, subtype: int, body: bytes) -> MRTBody:
     """Decode the body bytes of a record according to its type and subtype.
 
     Returns a :class:`CorruptRecord` (never raises) when the body cannot be
     parsed, so the caller can propagate the not-valid status the way
     libBGPStream does.
 
-    A successfully decoded body is passed through the flyweight intern layer
-    (:mod:`repro.core.intern`): AS paths, community sets, prefixes, peer
-    entries and address strings are replaced by their canonical instances,
-    so the duplicates a RIB dump repeats millions of times become garbage
-    immediately instead of living as long as the record does.  ``intern``
-    follows the process-wide switch when ``None`` and can force the decision
-    per call (the MRT reader threads it through).
-
-    Path-attribute value construction is deferred to first read; with
-    interning on, only attributes that actually materialise pay the pool
-    lookup.  Callers decoding many records should hoist the knob resolution
-    with :func:`make_body_decoder`.
+    Prefixes and address strings come out canonical (the wire caches of
+    :mod:`repro.bgp.wirecache`); path-attribute value construction is
+    deferred to first read, which is also where AS paths and community sets
+    are interned (:class:`~repro.bgp.attributes.LazyPathAttributes`).
     """
-    return make_body_decoder(intern)(header, subtype, body)
-
-
-def make_body_decoder(intern: Optional[bool] = None):
-    """Build a ``(header, subtype, body) -> MRTBody`` batch decoder.
-
-    Resolves the interning pool **once** so a whole MRT buffer amortises
-    the per-record knob lookup (the batch fast path of the zero-copy tier).
-    """
-    pool = _interning_pool(intern)
-
-    def decode_body(header: MRTHeader, subtype: int, body: bytes) -> MRTBody:
-        decoded = _decode_record_body_raw(header, subtype, body)
-        if pool is not None and not isinstance(decoded, CorruptRecord):
-            _intern_body(decoded, pool)
-        return decoded
-
-    return decode_body
-
-
-def _decode_record_body_raw(header: MRTHeader, subtype: int, body: bytes) -> MRTBody:
     try:
         if header.mrt_type == MRTType.TABLE_DUMP_V2:
             td_subtype = TableDumpV2Subtype(subtype)
@@ -413,74 +379,3 @@ def _decode_record_body_raw(header: MRTHeader, subtype: int, body: bytes) -> MRT
         return CorruptRecord(f"unsupported MRT type {header.mrt_type}", bytes(body))
     except (ValueError, struct.error, IndexError) as exc:
         return CorruptRecord(f"decode error: {exc}", bytes(body))
-
-
-# ---------------------------------------------------------------------------
-# Parse-time flyweight interning
-# ---------------------------------------------------------------------------
-
-#: Lazily bound reference to :func:`repro.core.intern.parse_pool`.  Bound on
-#: first decode instead of at import time because ``repro.core``'s package
-#: init imports (indirectly) this module.
-_parse_pool = None
-
-
-def _interning_pool(intern: Optional[bool]):
-    global _parse_pool
-    if _parse_pool is None:
-        from repro.core.intern import parse_pool
-
-        _parse_pool = parse_pool
-    return _parse_pool(intern)
-
-
-def _intern_body(body: MRTBody, pool) -> None:
-    """Replace the values of a freshly decoded body with canonical ones."""
-    if isinstance(body, RIBPrefixRecord):
-        body.prefix = pool.prefix(body.prefix)
-        for entry in body.entries:
-            _intern_attributes(entry.attributes, pool)
-    elif isinstance(body, BGP4MPMessage):
-        body.peer_address = pool.string(body.peer_address)
-        body.local_address = pool.string(body.local_address)
-        update = body.update
-        _intern_prefix_list(update.withdrawn, pool)
-        _intern_prefix_list(update.announced, pool)
-        _intern_attributes(update.attributes, pool)
-    elif isinstance(body, BGP4MPStateChange):
-        body.peer_address = pool.string(body.peer_address)
-        body.local_address = pool.string(body.local_address)
-    elif isinstance(body, PeerIndexTable):
-        peers = body.peers
-        for index, peer in enumerate(peers):
-            peers[index] = pool.intern("peer", peer)
-
-
-def _intern_attributes(attrs: PathAttributes, pool) -> None:
-    if type(attrs) is LazyPathAttributes and attrs.deferred_types:
-        # Deferred attributes intern when (if!) they materialise — only
-        # filter survivors pay the flyweight lookups.  The eagerly decoded
-        # gate fields (MP next hop / NLRI) are canonicalised now.
-        attrs.bind_pool(pool)
-        if attrs.mp_next_hop is not None:
-            attrs.mp_next_hop = pool.string(attrs.mp_next_hop)
-        if attrs.mp_reach_nlri:
-            _intern_prefix_list(attrs.mp_reach_nlri, pool)
-        if attrs.mp_unreach_nlri:
-            _intern_prefix_list(attrs.mp_unreach_nlri, pool)
-        return
-    attrs.as_path = pool.path(attrs.as_path)
-    attrs.communities = pool.communities(attrs.communities)
-    if attrs.next_hop is not None:
-        attrs.next_hop = pool.string(attrs.next_hop)
-    if attrs.mp_next_hop is not None:
-        attrs.mp_next_hop = pool.string(attrs.mp_next_hop)
-    if attrs.mp_reach_nlri:
-        _intern_prefix_list(attrs.mp_reach_nlri, pool)
-    if attrs.mp_unreach_nlri:
-        _intern_prefix_list(attrs.mp_unreach_nlri, pool)
-
-
-def _intern_prefix_list(prefixes: List[Prefix], pool) -> None:
-    for index, prefix in enumerate(prefixes):
-        prefixes[index] = pool.prefix(prefix)

@@ -147,7 +147,6 @@ class BGPStream:
     def __init__(
         self,
         data_interface: Union[DataInterface, str, None] = None,
-        interning: object = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
     ) -> None:
@@ -161,7 +160,6 @@ class BGPStream:
                 )
         self._stream = _CoreStream(
             data_interface=interface,
-            interning=interning,
             live=live,
             interface_options=interface_options,
         )

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro import _profiling as profiling
+from repro.core import profiling
 from repro.broker.broker import Broker
 from repro.broker.crawler import ArchiveCrawler
 from repro.broker.db import MetadataDB
@@ -126,6 +126,28 @@ class TestInvalidation:
             assert "segment files corrupt" in "\n".join(counters.summary_lines())
         finally:
             profiling.disable()
+
+    def test_segment_of_another_layout_is_a_plain_miss(
+        self, tmp_path, broker_archive, monkeypatch
+    ):
+        """The layout version is part of the key: a segment written under
+        another ``SEGMENT_VERSION`` is never opened — a miss and a re-store,
+        not a quarantine."""
+        from repro.broker import segments
+
+        cache = SegmentCache(str(tmp_path / "cache"))
+        spec = _specs_for(broker_archive)[0]
+        monkeypatch.setattr(segments, "SEGMENT_VERSION", segments.SEGMENT_VERSION - 1)
+        baseline = [_flatten(r) for r in DumpFileReader(spec, segment_cache=cache)]
+        monkeypatch.undo()
+        replayed = [_flatten(r) for r in DumpFileReader(spec, segment_cache=cache)]
+        assert replayed == baseline
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 2, 2)
+        assert stats["corrupt"] == 0
+        assert not [f for f in os.listdir(cache.root) if f.endswith(".corrupt")]
+        assert [_flatten(r) for r in DumpFileReader(spec, segment_cache=cache)] == baseline
+        assert cache.stats()["hits"] == 1
 
     def test_missing_source_file_never_stored(self, tmp_path):
         cache = SegmentCache(str(tmp_path / "cache"))

@@ -277,3 +277,20 @@ def test_read_path_imports_do_not_load_the_simulator(module):
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["repro.core.intern", "repro.core.metrics", "repro.bgp.aspath"])
+def test_decode_layer_imports_do_not_load_the_stream(module):
+    """``repro.core``'s package init is lazy (PEP 562), so the decode layers
+    can import ``repro.core.intern`` / ``metrics`` / ``profiling`` without
+    pulling in ``stream`` — which imports them back."""
+    probe = (
+        f"import sys, {module}\n"
+        "loaded = [m for m in ('repro.core.stream', 'repro.core.record', "
+        "'repro.mrt.records') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro.core import BGPStream\n"
+        "assert 'repro.core.stream' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -10,37 +9,26 @@ import pytest
 from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
-from repro.core.intern import (
-    InternPool,
-    default_pool,
-    parse_interning,
-    parse_interning_enabled,
-    parse_pool,
-    reset_default_pool,
-    set_parse_interning,
-)
+from repro.core.intern import InternPool, default_pool, reset_default_pool
 
 
 class TestInternPoolBasics:
     def test_dedups_equal_values(self):
         pool = InternPool()
-        a = Prefix.from_string("10.0.0.0/8")
-        b = Prefix.from_string("10.0.0.0/8")
+        a = ASPath.from_asns([701, 3356])
+        b = ASPath.from_asns([701, 3356])
         assert a is not b
-        assert pool.prefix(a) is a  # first sight: a becomes canonical
-        assert pool.prefix(b) is a  # equal value: canonical returned
+        assert pool.path(a) is a  # first sight: a becomes canonical
+        assert pool.path(b) is a  # equal value: canonical returned
 
     def test_distinct_values_stay_distinct(self):
         pool = InternPool()
-        a = pool.prefix(Prefix.from_string("10.0.0.0/8"))
-        b = pool.prefix(Prefix.from_string("10.0.0.0/9"))
+        a = pool.path(ASPath.from_asns([701, 3356]))
+        b = pool.path(ASPath.from_asns([701, 3356, 15169]))
         assert a is not b and a != b
 
     def test_string_and_generic_kinds(self):
         pool = InternPool()
-        s1 = pool.string("192.0.2.1")
-        s2 = pool.string("192.0.2." + "1")  # force a distinct str object
-        assert s1 is s2
         t1 = pool.intern("custom-kind", (1, 2))
         assert pool.intern("custom-kind", (1, 2)) is t1
         assert pool.stats()["custom-kind"]["size"] == 1
@@ -109,11 +97,12 @@ class TestInternPoolBasics:
 class TestInternPoolBounds:
     def test_overflow_passes_values_through(self):
         pool = InternPool(max_entries=2)
-        a = pool.string("a")
-        b = pool.string("b")
+        a = pool.intern("string", "a")
+        b = pool.intern("string", "b")
         c = "c" * 2  # distinct object, pool full
-        assert pool.string(c) is c  # uninterned pass-through
-        assert pool.string("a") is a and pool.string("b") is b  # existing still hit
+        assert pool.intern("string", c) is c  # uninterned pass-through
+        # existing still hit
+        assert pool.intern("string", "a") is a and pool.intern("string", "b") is b
         stats = pool.stats()["string"]
         assert stats["size"] == 2
         assert stats["overflow"] >= 1
@@ -122,25 +111,11 @@ class TestInternPoolBounds:
         with pytest.raises(ValueError):
             InternPool(max_entries=0)
 
-    def test_prefix_kind_gets_scaled_cap(self):
-        """The prefix population of a full RIB outgrows the base cap, so the
-        prefix kind is bounded at a multiple of max_entries."""
-        pool = InternPool(max_entries=2)
-        for i in range(8):
-            pool.prefix(Prefix.from_string(f"10.{i}.0.0/16"))
-        stats = pool.stats()["prefix"]
-        assert stats["size"] == 8  # 16x the base cap of 2: none overflowed
-        assert stats["overflow"] == 0
-        # The scaled cap survives pickling (it is derived state).
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.prefix(Prefix.from_string("10.200.0.0/16")) is not None
-        assert clone.stats()["prefix"]["size"] == 9
-
     def test_stats_and_hit_rate(self):
         pool = InternPool()
         assert pool.hit_rate == 0.0
-        pool.string("x")
-        pool.string("x" + "")
+        pool.intern("string", "x")
+        pool.intern("string", "x" + "")
         stats = pool.stats()["string"]
         assert stats == {"size": 1, "hits": 1, "misses": 1, "overflow": 0}
         assert 0.0 < pool.hit_rate <= 1.0
@@ -148,7 +123,7 @@ class TestInternPoolBounds:
 
     def test_clear(self):
         pool = InternPool()
-        pool.string("x")
+        pool.intern("string", "x")
         assert len(pool) == 1
         pool.clear()
         assert len(pool) == 0
@@ -163,7 +138,7 @@ class TestInternPoolConcurrencyAndTransport:
         def worker():
             try:
                 for text in values:
-                    canonical = pool.prefix(Prefix.from_string(text))
+                    canonical = pool.intern("prefix", Prefix.from_string(text))
                     assert str(canonical) == text
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -181,9 +156,9 @@ class TestInternPoolConcurrencyAndTransport:
         # + executor callbacks) and its decode-once assertions read stats(),
         # so hit/miss/overflow accounting must be exact — not best-effort —
         # under contention, including first-seen kinds and saturated kinds.
-        pool = InternPool(max_entries=8)  # tiny cap => overflow path is hot
+        pool = InternPool(max_entries=32)  # tiny cap => overflow path is hot
         n_threads, n_rounds = 8, 400
-        values = [f"198.51.{i}.0/24" for i in range(32)]  # 32 > cap of 8
+        values = [f"198.51.{i}.0/24" for i in range(32)]  # exactly the cap
         barrier = threading.Barrier(n_threads)
         errors = []
 
@@ -192,14 +167,13 @@ class TestInternPoolConcurrencyAndTransport:
                 barrier.wait()
                 for round_no in range(n_rounds):
                     for i, text in enumerate(values):
-                        pool.prefix(Prefix.from_string(text))
+                        pool.intern("prefix", Prefix.from_string(text))
                         # Brand-new kind registered concurrently from every
                         # thread: the check-then-act window in registration
                         # must never drop a counter or raise.
-                        pool.intern("flap", (seed + i + round_no) % 16)
+                        pool.intern("flap", (seed + i + round_no) % 64)
                     if round_no % 50 == seed % 50:
                         pool.stats()  # concurrent reader
-                        pickle.dumps(pool)  # concurrent pickler
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -214,43 +188,17 @@ class TestInternPoolConcurrencyAndTransport:
         for kind in ("prefix", "flap"):
             s = stats[kind]
             assert s["hits"] + s["misses"] + s["overflow"] == calls, kind
-        # Prefixes get a 16x cap multiplier, so all 32 fit (no overflow);
-        # the first-seen "flap" kind has the base cap of 8 and saturates.
+        # The 32 prefixes fill their kind to the cap without overflowing;
+        # the "flap" kind sees 64 distinct values and saturates at 32.
         assert stats["prefix"]["size"] == len(values)
         assert stats["prefix"]["misses"] == len(values)
         assert stats["prefix"]["overflow"] == 0
-        assert stats["flap"]["size"] == 8  # base cap respected
-        assert stats["flap"]["misses"] == 8
-        assert stats["flap"]["overflow"] >= (16 - 8) * n_rounds
+        assert stats["flap"]["size"] == 32  # cap respected
+        assert stats["flap"]["misses"] == 32
+        assert stats["flap"]["overflow"] >= (64 - 32) * n_rounds
         # Canonical identity is stable once inserted.
-        first = pool.prefix(Prefix.from_string(values[0]))
-        assert pool.prefix(Prefix.from_string(values[0])) is first
-
-    def test_pickled_pool_carries_exact_counters(self):
-        pool = InternPool()
-        for _ in range(3):
-            pool.prefix(Prefix.from_string("10.0.0.0/8"))
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.stats()["prefix"] == pool.stats()["prefix"]
-        clone.prefix(Prefix.from_string("10.0.0.0/8"))
-        assert clone.stats()["prefix"]["hits"] == pool.stats()["prefix"]["hits"] + 1
-
-    def test_pool_pickles_with_contents(self):
-        pool = InternPool(max_entries=1234)
-        canonical = pool.path(ASPath.from_asns([701, 3356]))
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.max_entries == 1234
-        assert clone.sizes() == pool.sizes()
-        # The clone keeps working (lock was rebuilt) and dedups to *its* copy.
-        assert clone.path(ASPath.from_asns([701, 3356])) == canonical
-
-    def test_merge_folds_canonicals(self):
-        a, b = InternPool(), InternPool()
-        pa = a.prefix(Prefix.from_string("10.0.0.0/8"))
-        b.prefix(Prefix.from_string("192.0.2.0/24"))
-        b.merge(a)
-        assert b.prefix(Prefix.from_string("10.0.0.0/8")) is pa
-        assert b.stats()["prefix"]["size"] == 2
+        first = pool.intern("prefix", Prefix.from_string(values[0]))
+        assert pool.intern("prefix", Prefix.from_string(values[0])) is first
 
 
 class TestProcessDefaults:
@@ -260,17 +208,3 @@ class TestProcessDefaults:
         assert default_pool() is pool
         reset_default_pool()
         assert default_pool() is not pool
-
-    def test_parse_interning_switch_and_context(self):
-        previous = set_parse_interning(True)
-        try:
-            assert parse_interning_enabled()
-            assert parse_pool() is not None
-            with parse_interning(False):
-                assert not parse_interning_enabled()
-                assert parse_pool() is None
-                assert parse_pool(True) is not None  # per-call override
-            assert parse_interning_enabled()
-            assert parse_pool(False) is None
-        finally:
-            set_parse_interning(previous)

@@ -1,16 +1,17 @@
 """Lazy zero-copy decode must be observably invisible (ISSUE 6, ISSUE 12).
 
-Decode is always lazy; two references pin its behaviour.  Stream level:
-for randomized archives and live BMP feeds, the elem streams of the
-default stream — as dataclass values, ASCII lines and ``field_dict()``
-views — must be *identical* to ``BGPStream(eager=True)``, which
-materialises every attribute set before delivery, across interning,
-record-at-a-time/batched consumption and filters.  Call level: with
-the attribute-block decoder swapped for the eager ``PathAttributes.decode``
-oracle, ``decode_update``, the MRT parser and the BMP scan must produce the
-same values, the same not-valid records and the same exceptions — lazy
-decode that returns never fails later, and what the oracle rejects lazy
-decode rejects at decode time.
+Decode is always lazy and always interned; two references pin its
+behaviour.  Stream level: for randomized archives and live BMP feeds, the
+elem streams of the default stream — as dataclass values, ASCII lines and
+``field_dict()`` views — must be *identical* to ``BGPStream(eager=True)``,
+which materialises every attribute set before delivery, and to the same
+stream run over the eager, pool-free ``PathAttributes.decode`` oracle
+(laziness and interning may change identity and timing, never values),
+across record-at-a-time/batched consumption and filters.  Call level: with
+the attribute-block decoder swapped for the oracle, ``decode_update``, the
+MRT parser and the BMP scan must produce the same values, the same
+not-valid records and the same exceptions — lazy decode that returns never
+fails later, and what the oracle rejects lazy decode rejects at decode time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.broker.broker import Broker
 from repro.collectors.archive import Archive
 from repro.core import profiling
 from repro.core.interfaces import BrokerDataInterface, LiveDataInterface
-from repro.core.intern import InternPool, parse_interning, reset_default_pool
+from repro.core.intern import InternPool, default_pool, reset_default_pool
 from repro.core.stream import BGPStream
 from repro.kafka.broker import MessageBroker
 from repro.mrt import records as mrt_records
@@ -48,7 +49,7 @@ from repro.mrt.writer import write_rib_dump, write_updates_dump
 from repro.pybgpstream import BGPStream as PyBGPStream
 
 # ---------------------------------------------------------------------------
-# Randomized archive builder (compact cousin of the interning suite's)
+# Randomized archive builder
 # ---------------------------------------------------------------------------
 
 PEER_ASNS = (65001, 65002)
@@ -153,7 +154,7 @@ def _oracle_decode():
     every attribute eagerly, through the reference implementation.
     """
 
-    def oracle(data, pool=None):
+    def oracle(data):
         return PathAttributes.decode(data)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -177,48 +178,44 @@ def _assert_materialised(record):
         assert not getattr(attrs, "deferred_types", None), record
 
 
-def _consume(archive, *, eager, interning=True, batched=False, filter_spec=None):
+def _consume(archive, *, eager, batched=False, filter_spec=None):
     """Full pass over the archive, rendered every observable way."""
     reset_default_pool()
-    with parse_interning(bool(interning)):
-        stream = BGPStream(
-            data_interface=BrokerDataInterface(
-                Broker(archives=[archive]), max_empty_polls=1
-            ),
-            interning=interning,
-            eager=eager,
-        )
-        if filter_spec is not None:
-            stream.add_filter(*filter_spec)
-        stream.add_interval_filter(900, 2500)
-        if batched:
-            records = (r for batch in stream.records_batched(batch_size=32) for r in batch)
-        else:
-            records = stream.records()
-        record_lines, elems, elem_lines, field_dicts = [], [], [], []
-        for record in records:
-            if eager:
-                _assert_materialised(record)
-            record_lines.append(record.to_ascii())
-            for elem in record.elems():
-                if not stream.filters.match_elem(elem):
-                    continue
-                elems.append(elem)
-                elem_lines.append(elem.to_ascii())
-                elem_lines.append(elem.to_bgpdump_ascii())
-                field_dicts.append(elem.field_dict())
-        return record_lines, elems, elem_lines, field_dicts
+    stream = BGPStream(
+        data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1),
+        eager=eager,
+    )
+    if filter_spec is not None:
+        stream.add_filter(*filter_spec)
+    stream.add_interval_filter(900, 2500)
+    if batched:
+        records = (r for batch in stream.records_batched(batch_size=32) for r in batch)
+    else:
+        records = stream.records()
+    record_lines, elems, elem_lines, field_dicts = [], [], [], []
+    for record in records:
+        if eager:
+            _assert_materialised(record)
+        record_lines.append(record.to_ascii())
+        for elem in record.elems():
+            if not stream.filters.match_elem(elem):
+                continue
+            elems.append(elem)
+            elem_lines.append(elem.to_ascii())
+            elem_lines.append(elem.to_bgpdump_ascii())
+            field_dicts.append(elem.field_dict())
+    return record_lines, elems, elem_lines, field_dicts
 
 
 # ---------------------------------------------------------------------------
-# The invisibility property: default × eager=True × interning × batched × filters
+# The invisibility property: default × {eager=True, oracle decode} × batched × filters
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    interning=st.booleans(),
+    oracle=st.booleans(),
     batched=st.booleans(),
     filter_spec=st.sampled_from(
         [
@@ -233,19 +230,17 @@ def _consume(archive, *, eager, interning=True, batched=False, filter_spec=None)
         ]
     ),
 )
-def test_lazy_tier_is_observably_invisible(seed, interning, batched, filter_spec):
+def test_lazy_tier_is_observably_invisible(seed, oracle, batched, filter_spec):
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, seed)
-        reference = _consume(
-            archive, eager=True, interning=interning, filter_spec=filter_spec
-        )
-        lazy = _consume(
-            archive,
-            eager=False,
-            interning=interning,
-            batched=batched,
-            filter_spec=filter_spec,
-        )
+        if oracle:
+            # Eager and pool-free: nothing is deferred and nothing is shared.
+            with _oracle_decode():
+                reference = _consume(archive, eager=False, filter_spec=filter_spec)
+            assert not len(default_pool())
+        else:
+            reference = _consume(archive, eager=True, filter_spec=filter_spec)
+        lazy = _consume(archive, eager=False, batched=batched, filter_spec=filter_spec)
         assert lazy[0] == reference[0]  # record ASCII
         assert lazy[1] == reference[1]  # elems as dataclass values
         assert lazy[2] == reference[2]  # elem + bgpdump ASCII
@@ -437,7 +432,7 @@ def test_corrupt_bmp_frames_surface_identically():
 
 
 # ---------------------------------------------------------------------------
-# Lazy building blocks: deferral, interning, pickling, repeat-elems marker
+# Lazy building blocks: deferral, interning (one probe per value), pickling
 # ---------------------------------------------------------------------------
 
 
@@ -461,11 +456,12 @@ def test_lazy_attributes_defer_and_match_eager():
 
 def test_lazy_attributes_intern_on_materialisation():
     block = _attr_block()
-    pool = InternPool()
-    lazy = decode_attributes(block, pool=pool)
-    canonical = pool.path(PathAttributes.decode(block).as_path)
+    reset_default_pool()
+    lazy = decode_attributes(block)
+    assert not len(default_pool())  # nothing read yet, nothing interned
+    canonical = default_pool().path(PathAttributes.decode(block).as_path)
     assert lazy.as_path is canonical
-    assert lazy.communities is pool.communities(lazy.communities)
+    assert lazy.communities is default_pool().communities(lazy.communities)
 
 
 def test_lazy_attributes_pickle_to_plain_eager_class():
@@ -494,34 +490,78 @@ def test_lazy_elems_pickle_to_plain_elems(tmp_path):
         assert clones == elems
 
 
-def test_repeated_elems_take_the_canonical_marker_fast_path():
-    from repro.mrt.records import BGP4MPMessage as MRTMessage
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Count the calls into ``InternPool.intern`` / ``path`` / ``communities``
+    made from outside the pool (``path`` calling ``intern`` does not count)."""
+    calls = {"intern": 0, "path": 0, "communities": 0}
+    inside = []
 
+    def counting(name):
+        original = getattr(InternPool, name)
+
+        def wrapper(self, *args):
+            if not inside:
+                calls[name] += 1
+            inside.append(name)
+            try:
+                return original(self, *args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(InternPool, name, counting(name))
+    return calls
+
+
+def _deferred(record):
+    """The still-deferred attribute type codes of each attribute set."""
+    return [set(getattr(attrs, "deferred_types", ())) for attrs in _attribute_sets(record)]
+
+
+def _stream(archive):
+    reset_default_pool()
+    stream = BGPStream(
+        data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1)
+    )
+    stream.add_interval_filter(900, 2500)
+    return stream
+
+
+def test_one_pool_probe_per_value_built(pool_calls):
+    """A value is made canonical once, where it is built: a full
+    records() → elems() → to_ascii() pass calls the pool exactly once per
+    AS_PATH / COMMUNITIES body materialised, and extracting the elems of a
+    record a second time calls it not at all."""
+    pooled = {2, 8}  # AS_PATH, COMMUNITIES attribute type codes
     with tempfile.TemporaryDirectory() as root:
-        archive = _build_archive(root, 5)
-        reset_default_pool()
-        stream = BGPStream(
-            data_interface=BrokerDataInterface(
-                Broker(archives=[archive]), max_empty_polls=1
-            ),
-        )
-        stream.add_interval_filter(900, 2500)
-        pool = stream.intern_pool
-        marked = 0
+        stream = _stream(_build_archive(root, 5))
+        bodies = elems = 0
         for record in stream.records():
+            before = _deferred(record)
             first = [elem.to_ascii() for elem in record.elems()]
-            body = record.mrt.body if record.mrt is not None else None
-            if (
-                isinstance(body, MRTMessage)
-                and body.update.announced
-                and body.update.attributes.as_path is not None
-            ):
-                # The elem pass canonicalised the attrs and left the marker,
-                # so the next pass short-circuits the write-back walk.
-                assert body.update.attributes._canonical_for is pool
-                marked += 1
+            elems += len(first)
+            bodies += sum(
+                len((was - now) & pooled) for was, now in zip(before, _deferred(record))
+            )
+            probes = dict(pool_calls)
             assert [elem.to_ascii() for elem in record.elems()] == first
-        assert marked > 0
+            assert pool_calls == probes, record
+        assert elems > bodies > 0
+        assert pool_calls["path"] + pool_calls["communities"] == bodies
+        assert pool_calls["intern"] == 0
+
+
+def test_filtered_out_elems_never_reach_the_pool(pool_calls):
+    with tempfile.TemporaryDirectory() as root:
+        stream = _stream(_build_archive(root, 5))
+        stream.add_filter("prefix-exact", "192.0.2.0/24")  # matches no elem
+        candidates = [elem for record in stream.records() for elem in record.elems()]
+        assert candidates
+        assert not any(stream.filters.match_elem(elem) for elem in candidates)
+        assert pool_calls == {"intern": 0, "path": 0, "communities": 0}
 
 
 def test_attribute_filters_agree_between_lazy_and_eager_elems():

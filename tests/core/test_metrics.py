@@ -7,7 +7,6 @@ import urllib.request
 
 import pytest
 
-from repro import _metrics
 from repro.core import metrics
 from repro.core.metrics import MetricsRegistry
 
@@ -237,27 +236,26 @@ class TestEnableDisable:
         metrics.enable()
         try:
             assert metrics.enabled is True
-            assert _metrics.enabled is True
         finally:
             metrics.disable()
         assert metrics.enabled is False
 
     def test_trace_span_noop_when_disabled(self):
-        before = _metrics.stage_latency.labels("poll").snapshot()[2]
+        before = metrics.stage_latency.labels("poll").snapshot()[2]
         with metrics.trace_span("poll"):
             pass
-        assert _metrics.stage_latency.labels("poll").snapshot()[2] == before
+        assert metrics.stage_latency.labels("poll").snapshot()[2] == before
 
     def test_trace_span_observes_when_enabled(self, enabled):
-        before = _metrics.stage_latency.labels("decode").snapshot()[2]
+        before = metrics.stage_latency.labels("decode").snapshot()[2]
         with metrics.trace_span("decode"):
             pass
-        assert _metrics.stage_latency.labels("decode").snapshot()[2] == before + 1
+        assert metrics.stage_latency.labels("decode").snapshot()[2] == before + 1
 
     def test_trace_span_accepts_unknown_stage(self, enabled):
         with metrics.trace_span("custom_stage"):
             pass
-        assert _metrics.stage_latency.labels("custom_stage").snapshot()[2] >= 1
+        assert metrics.stage_latency.labels("custom_stage").snapshot()[2] >= 1
 
 
 class TestCollectors:

@@ -135,22 +135,42 @@ class TestBGPReaderCLI:
         assert exit_info.value.code == 2
         assert "--batch-size" in capsys.readouterr().err
 
-    def test_no_intern_flag_output_identical(self, core_archive, core_scenario):
-        from repro.core.intern import parse_interning_enabled
+    def test_no_intern_is_rejected_by_both_clis(self, core_archive, capsys):
+        """Interning is not a mode: ``--no-intern`` is an argparse error on
+        ``bgpreader`` and on the gateway, like any unknown flag."""
+        from repro.gateway.cli import build_parser as build_gateway_parser
 
-        window = ["-w", f"{core_scenario.start},{core_scenario.end}", "-r", "--limit", "200"]
-        interned = self._run(core_archive, window)
-        uninterned = self._run(core_archive, window + ["--no-intern"])
-        # The opt-out is per-stream; the process-wide switch is untouched.
-        assert parse_interning_enabled()
-        assert uninterned == interned
+        for parser, argv in [
+            (build_parser(), ["--archive", core_archive.root, "--no-intern"]),
+            (build_gateway_parser(), ["--live", "feed.bmp", "--no-intern"]),
+        ]:
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(argv)
+            assert exit_info.value.code == 2
+            assert "--no-intern" in capsys.readouterr().err
 
-    def test_no_intern_disables_stream_pool(self, core_archive):
-        parser = build_parser()
-        args = parser.parse_args(["--archive", core_archive.root, "--no-intern"])
-        stream = build_stream(args)
-        assert stream.intern_pool is None
-        assert stream.intern_stats() is None
+    def test_interning_keyword_is_an_inert_shim(self, core_archive):
+        """``BGPStream(interning=)`` survives only for the frozen ledger
+        (``ledger/live.py:90``) and selects nothing; every other spelling
+        of the axis is gone."""
+        import inspect
+
+        from repro.core import intern
+        from repro.core.record import BGPStreamRecord
+        from repro.core.stream import BGPStream
+
+        interface = BrokerDataInterface(Broker(archives=[core_archive]))
+        for value in (False, None, intern.InternPool()):
+            stream = BGPStream(data_interface=interface, interning=value)
+            assert stream.intern_pool is intern.default_pool()
+        assert not hasattr(BGPStream, "set_interning")
+        assert "intern_pool" not in BGPStreamRecord.__slots__
+        assert sorted(intern.__all__) == sorted(
+            ["InternPool", "default_pool", "reset_default_pool", "DEFAULT_MAX_ENTRIES"]
+        )
+        assert list(inspect.signature(pybgpstream.BGPStream.__init__).parameters) == [
+            "self", "data_interface", "live", "interface_options",
+        ]
 
     def test_requires_exactly_one_source(self):
         parser = build_parser()

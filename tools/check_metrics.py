@@ -50,10 +50,10 @@ def check_registry() -> list:
 
     for module in INSTRUMENTED_MODULES:
         importlib.import_module(module)
-    from repro import _metrics
+    from repro.core import metrics
 
     problems = []
-    families = _metrics.default_registry().metrics()
+    families = metrics.default_registry().metrics()
     if not families:
         problems.append("registry is empty — instrumented tiers did not register")
     seen = set()
@@ -75,7 +75,7 @@ def check_registry() -> list:
             uppers = list(metric.buckets)
             if sorted(uppers) != uppers or len(set(uppers)) != len(uppers):
                 problems.append(f"histogram {name!r} buckets are not strictly increasing")
-    problems.extend(check_exposition(_metrics.exposition()))
+    problems.extend(check_exposition(metrics.exposition()))
     return problems
 
 
@@ -105,9 +105,9 @@ def main() -> int:
             print(f"check_metrics: {problem}", file=sys.stderr)
         print(f"check_metrics: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    from repro import _metrics
+    from repro.core import metrics
 
-    count = len(_metrics.default_registry().metrics())
+    count = len(metrics.default_registry().metrics())
     print(f"check_metrics: {count} metric families ok")
     return 0
 
