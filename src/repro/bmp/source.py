@@ -24,6 +24,7 @@ from repro.bmp.codec import scan_buffer
 from repro.bmp.messages import BMPMessage
 from repro.kafka.broker import Message, MessageBroker, round_robin_take
 from repro.kafka.client import Consumer, Producer
+from repro.utils.timeutil import Clock
 
 #: The topic OpenBMP publishes raw BMP frames on.
 DEFAULT_BMP_TOPIC = "openbmp.bmp_raw"
@@ -195,6 +196,9 @@ class BMPKafkaDataSource:
             # fall before the new window's interval start).
             self._straddled_heads.clear()
             self._window_until_ts = until_ts
+        # This branch reads the partition logs itself, not through
+        # Consumer.poll, so it marks the fetch start for wait() itself.
+        self._consumer.begin_fetch()
         broker = self._consumer.broker
         group = self._consumer.group
         deferred: Dict[Tuple[str, int, int], int] = {}
@@ -290,6 +294,14 @@ class BMPKafkaDataSource:
             self.corrupt_frames += 1
             if metrics.enabled:
                 _frames.inc(status="corrupt")
+
+    def wait(self, timeout: float, clock: Optional[Clock] = None) -> bool:
+        """Block until the feed publishes again (True) or ``timeout`` passes.
+
+        What the live interface does between two empty polls; see
+        :meth:`repro.kafka.client.Consumer.wait`.
+        """
+        return self._consumer.wait(timeout, clock)
 
     def lag(self) -> int:
         """Kafka messages published but not yet consumed by this source."""

@@ -29,6 +29,19 @@ from repro.core.filters import FilterSet
 from repro.core.record import BGPStreamRecord
 from repro.utils.timeutil import Clock, SystemClock
 
+#: Default cap on Kafka messages per live poll (Kafka's ``max.poll.records``):
+#: a backlog drains in batches of this size, so the first record is
+#: delivered after O(cap) work and a bridge crash between a poll's commit
+#: and its fan-out can lose at most this many messages.
+DEFAULT_MAX_POLL_MESSAGES = 500
+
+_poll_wakeups = metrics.counter(
+    "repro_kafka_poll_wakeups_total",
+    "Idle waits of the live interface, by what ended them: a publish on "
+    "the feed (data) or poll_interval of silence (timeout).",
+    labelnames=("cause",),
+)
+
 if TYPE_CHECKING:
     from repro.bmp.convert import BMPRecordConverter
     from repro.bmp.source import BMPKafkaDataSource
@@ -274,6 +287,20 @@ class LiveDataInterface(DataInterface):
     them in arrival batches.  The stream applies its filters to live
     records exactly as to replayed ones.
 
+    Long poll: after an empty poll the interface blocks in
+    ``source.wait()`` until the feed publishes again, for at most
+    ``poll_interval`` (Kafka's ``fetch.max.wait.ms``) before it re-checks
+    ``max_empty_polls`` and :meth:`stop` — so latency is the pipeline's,
+    not the interval's, and an idle feed costs no CPU.  A source without
+    ``wait`` gets a plain ``poll_interval`` sleep instead.
+
+    Bounded polls: one poll takes at most ``max_poll_messages`` Kafka
+    messages (default :data:`DEFAULT_MAX_POLL_MESSAGES`; ``None`` drains
+    everything) and commits them, so a backlog arrives as a series of
+    small batches.  A bounded poll interleaves partitions round-robin
+    where the unbounded one concatenates them; per-partition (per-router)
+    order, the only order Kafka promises, is the same either way.
+
     Bounded windows: when the stream's filters carry an ``interval_end``
     (an ``until_ts``), the interface stops as soon as the feed progresses
     past it, so a BGPCorsaro consumer's bins close deterministically in
@@ -306,7 +333,7 @@ class LiveDataInterface(DataInterface):
         clock: Optional[Clock] = None,
         poll_interval: float = 1.0,
         max_empty_polls: Optional[int] = None,
-        max_poll_messages: Optional[int] = None,
+        max_poll_messages: Optional[int] = DEFAULT_MAX_POLL_MESSAGES,
         project: Optional[str] = None,
         track_state: Optional[bool] = None,
         converter: Optional["BMPRecordConverter"] = None,
@@ -339,22 +366,50 @@ class LiveDataInterface(DataInterface):
                 track_state=True if track_state is None else track_state,
             )
         self.clock = clock or SystemClock()
+        #: The longest one idle wait blocks before the loop looks around.
         self.poll_interval = poll_interval
-        #: Stop after this many consecutive empty polls (None = poll forever).
+        #: Stop after this many consecutive empty polls — each but the
+        #: first preceded by ``poll_interval`` of silence (None = forever).
         self.max_empty_polls = max_empty_polls
-        #: Cap on Kafka messages per poll (bounded batches for bin-oriented
-        #: consumers; None = drain everything available).
+        #: Cap on Kafka messages per poll (None = drain everything).
         self.max_poll_messages = max_poll_messages
         self.retry_policy = retry_policy
         self.circuit_breaker = circuit_breaker
         #: Polls that had to be retried (transient feed failures absorbed).
         self.poll_retries = 0
+        #: Idle waits so far, by what ended them (``/stats`` shows these).
+        self.poll_wakeups = {"data": 0, "timeout": 0}
+        self._stopped = False
 
     def batches(self, filters: FilterSet) -> Iterator[List[DumpFileSpec]]:
         raise RuntimeError(
             "LiveDataInterface yields record batches, not dump files; "
             "use record_batches() (BGPStream does this automatically)"
         )
+
+    def stop(self) -> None:
+        """End :meth:`record_batches` at its next look-around (any thread).
+
+        An idle feed notices within one ``poll_interval``; a busy one when
+        its consumer asks for the next batch.
+        """
+        self._stopped = True
+
+    def _idle_wait(self) -> bool:
+        """Pass up to ``poll_interval`` of idle time; True = data arrived."""
+        wait = getattr(self.source, "wait", None)
+        with metrics.trace_span("idle"):
+            if wait is None:
+                # A duck-typed source that cannot block: sleep the interval.
+                self.clock.sleep(self.poll_interval)
+                woken = False
+            else:
+                woken = wait(self.poll_interval, self.clock)
+        cause = "data" if woken else "timeout"
+        self.poll_wakeups[cause] += 1
+        if metrics.enabled:
+            _poll_wakeups.inc(cause=cause)
+        return woken
 
     def record_batches(self, filters: FilterSet) -> Iterator[List[BGPStreamRecord]]:
         """Poll the feed and yield record batches until the window closes."""
@@ -364,7 +419,11 @@ class LiveDataInterface(DataInterface):
         # broker/consumer group picks them up instead of losing them.
         window_aware = until_ts is not None and self._source_accepts_until_ts()
         empty_polls = 0
-        while True:
+        # True while the poll about to run was caused by a publish: if it
+        # still comes back empty (another topic, a held-back message) it
+        # says nothing about silence and does not count as an empty poll.
+        woken = False
+        while not self._stopped:
             if window_aware:
                 pairs = self._poll(until_ts=until_ts)
                 # One held-back partition does not mean the whole feed
@@ -385,15 +444,17 @@ class LiveDataInterface(DataInterface):
                     # A poll that held something back made progress (the
                     # deferral frees the next fetch's budget for other
                     # partitions) and does not count as an empty poll.
-                    empty_polls += 1
-                    if (
-                        self.max_empty_polls is not None
-                        and empty_polls >= self.max_empty_polls
-                    ):
-                        return
-                    self.clock.sleep(self.poll_interval)
+                    if not woken:
+                        empty_polls += 1
+                        if (
+                            self.max_empty_polls is not None
+                            and empty_polls >= self.max_empty_polls
+                        ):
+                            return
+                    woken = self._idle_wait()
                 continue
             empty_polls = 0
+            woken = False
             batch: List[BGPStreamRecord] = []
             with metrics.trace_span("convert"):
                 converted = [

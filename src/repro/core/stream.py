@@ -206,6 +206,17 @@ class BGPStream:
         self._started = True
         return self
 
+    def stop(self) -> None:
+        """Ask a live stream to end (callable from any thread).
+
+        :meth:`records` finishes once the live interface notices — within
+        one ``poll_interval`` on an idle feed.  Dump-file streams end by
+        themselves and ignore this.
+        """
+        stop = getattr(self._interface, "stop", None)
+        if stop is not None:
+            stop()
+
     def _windows(self) -> Iterator[Iterator[BGPStreamRecord]]:
         """One filtered, time-sorted record iterator per live poll or per
         meta-data window of dump files.

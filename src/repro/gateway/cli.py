@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--poll-interval", type=float, default=0.05,
-        help="seconds between feed polls when idle (default: 0.05)",
+        help="longest idle block, in seconds: an idle feed wakes on the next "
+             "publish and looks at --idle-polls / shutdown at least this "
+             "often (default: 0.05)",
     )
     serving.add_argument(
         "--exit-when-drained", action="store_true",

@@ -702,6 +702,9 @@ class StreamHub:
     def _run_once(self) -> None:
         """One bridge attempt over the current stream (raises on error)."""
         self.started = True
+        if self._stop.is_set():
+            # stop() raced a restart and may have told the old stream.
+            return
         for record in self.stream.records():
             if self._stop.is_set():
                 return
@@ -786,8 +789,13 @@ class StreamHub:
             pass  # surfaced through subscriber.error / stats()["error"]
 
     def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Ask the decode loop to stop and join the bridge thread."""
+        """Ask the decode loop to stop and join the bridge thread.
+
+        A bridge blocked on an idle feed notices within one
+        ``poll_interval`` of its live interface.
+        """
         self._stop.set()
+        self.stream.stop()
         thread = self._thread
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=timeout)
@@ -804,7 +812,8 @@ class StreamHub:
         return supervisor.crashes if supervisor is not None else 0
 
     def stats(self) -> Dict:
-        source = getattr(self.stream._interface, "source", None)
+        interface = self.stream._interface
+        source = getattr(interface, "source", None)
         error = self.error
         body = {
             "subscribers": self.subscriber_count,
@@ -821,6 +830,7 @@ class StreamHub:
         if source is not None:
             body["frames_decoded"] = getattr(source, "frames_decoded", None)
             body["corrupt_frames"] = getattr(source, "corrupt_frames", None)
+            body["poll_wakeups"] = dict(getattr(interface, "poll_wakeups", {}))
         body["intern"] = {
             kind: counters["hits"] + counters["misses"] + counters["overflow"]
             for kind, counters in self.stream.intern_pool.stats().items()

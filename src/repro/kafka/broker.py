@@ -11,8 +11,13 @@ are identical).
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.utils.timeutil import Clock, SystemClock
+
+_SYSTEM_CLOCK = SystemClock()
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,9 @@ class Topic:
             # Round-robin-ish: append to the shortest partition.
             sizes = [len(p) for p in self._partitions]
             return sizes.index(min(sizes))
-        return hash(key) % self.num_partitions
+        # crc32, not hash(): str hashes are randomised per interpreter, and
+        # a router must land on the same partition in every process.
+        return zlib.crc32(key.encode()) % self.num_partitions
 
     def append(self, key: Optional[str], value: Any, timestamp: float = 0.0) -> Message:
         with self._lock:
@@ -100,13 +107,24 @@ class Topic:
 
 
 class MessageBroker:
-    """A collection of topics plus consumer-group offset bookkeeping."""
+    """A collection of topics plus consumer-group offset bookkeeping.
+
+    Locking: ``_lock`` guards the topic table and the committed offsets,
+    each :class:`Topic` guards its own logs, and ``_published`` (a condition
+    with its own lock) guards the publish sequence number idle consumers
+    block on.  None of the three is ever held while taking another —
+    ``produce`` appends first and signals after the topic lock is released
+    — and a waiter's predicate is only evaluated under ``_published``.
+    """
 
     def __init__(self) -> None:
         self._topics: Dict[str, Topic] = {}
         #: (group, topic, partition) -> committed offset.
         self._committed: Dict[Tuple[str, str, int], int] = {}
         self._lock = threading.Lock()
+        self._published = threading.Condition()
+        #: Messages produced so far, on any topic (see wait_for_publish).
+        self.publish_seq = 0
 
     # -- topic management -------------------------------------------------------
 
@@ -145,7 +163,27 @@ class MessageBroker:
     def produce(
         self, topic: str, value: Any, key: Optional[str] = None, timestamp: float = 0.0
     ) -> Message:
-        return self.topic(topic).append(key, value, timestamp)
+        message = self.topic(topic).append(key, value, timestamp)
+        with self._published:
+            self.publish_seq += 1
+            self._published.notify_all()
+        return message
+
+    def wait_for_publish(
+        self, seen_seq: int, timeout: float, clock: Optional[Clock] = None
+    ) -> bool:
+        """Block until ``publish_seq`` has moved past ``seen_seq``.
+
+        True = something was published, False = ``timeout`` passed first.
+        The wake condition is the sequence number the caller sampled
+        *before* its last fetch, not its lag: a message published while
+        that fetch ran cannot be missed, and messages a consumer leaves
+        uncommitted on purpose cannot turn the wait into a spin.  Idle
+        time passes on ``clock`` (simulated clocks do not block).
+        """
+        return (clock or _SYSTEM_CLOCK).wait_for(
+            self._published, lambda: self.publish_seq != seen_seq, timeout
+        )
 
     def consume(
         self,
@@ -158,7 +196,10 @@ class MessageBroker:
         With a bounded budget the partitions are interleaved round-robin —
         draining them in index order would let a busy partition 0 starve
         the rest (the router-keyed BMP feed spreads routers across
-        partitions precisely to avoid that).
+        partitions precisely to avoid that) — where the unbounded read
+        concatenates them.  Either way each partition contributes a
+        contiguous run in offset order: per-partition (per-key, so
+        per-router) order is the only order Kafka promises, and it holds.
         """
         topic_obj = self.topic(topic)
         if max_messages is None:
@@ -184,6 +225,12 @@ class MessageBroker:
                 key = (group, message.topic, message.partition)
                 current = self._committed.get(key, 0)
                 self._committed[key] = max(current, message.offset + 1)
+
+    def reset_offsets(self, group: str, topic: str) -> None:
+        """Forget the group's progress on ``topic``: its next read replays it."""
+        with self._lock:
+            for key in [k for k in self._committed if k[:2] == (group, topic)]:
+                del self._committed[key]
 
     def committed_offset(self, group: str, topic: str, partition: int) -> int:
         with self._lock:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.kafka.broker import Message, MessageBroker, round_robin_take
+from repro.utils.timeutil import Clock
 
 
 class Producer:
@@ -35,9 +36,10 @@ class Consumer:
 
     ``poll()`` returns any messages past the group's committed offsets and
     (by default) commits them, so repeated polls walk forward through the
-    log; ``seek_to_beginning()`` resets the group to replay a topic, which is
-    how a consumer re-synchronises from the latest full routing-table
-    snapshot before applying diffs (§6.2.2).
+    log; ``wait()`` blocks an idle consumer until the broker publishes
+    again (Kafka's long-poll fetch); ``seek_to_beginning()`` resets the
+    group to replay a topic, which is how a consumer re-synchronises from
+    the latest full routing-table snapshot before applying diffs (§6.2.2).
     """
 
     def __init__(self, broker: MessageBroker, group: str, topics: List[str]) -> None:
@@ -45,30 +47,64 @@ class Consumer:
         self.group = group
         self.topics = list(topics)
         self.messages_consumed = 0
+        #: ``broker.publish_seq`` as sampled when the last fetch began.
+        self._fetch_seq = 0
 
-    def poll(self, max_messages: Optional[int] = None, commit: bool = True) -> List[Message]:
-        if max_messages is None:
-            result = [
-                message
-                for topic in self.topics
-                for message in self.broker.consume(topic, self.group)
-            ]
-        else:
-            # With a bounded budget, draining topics in list order would let
-            # a busy first topic starve the rest; fetch each topic's backlog
-            # (capped at the budget) once, then take messages round-robin —
-            # one per topic per round — until the budget is spent.  Only the
-            # returned messages are committed, so the leftover fetches are
-            # re-read by the next poll.
-            fetched = [
-                list(self.broker.consume(topic, self.group, max_messages))
-                for topic in self.topics
-            ]
-            result = round_robin_take(fetched, max_messages)
+    def begin_fetch(self) -> None:
+        """Mark the start of a fetch: ``wait()`` wakes for anything newer.
+
+        ``poll()`` does this itself; a caller that reads the partition logs
+        directly (the window-aware BMP source) calls it before reading.
+        """
+        self._fetch_seq = self.broker.publish_seq
+
+    def poll(
+        self,
+        max_messages: Optional[int] = None,
+        commit: bool = True,
+        timeout: Optional[float] = None,
+    ) -> List[Message]:
+        """Fetch (and by default commit) the next messages.
+
+        With ``timeout`` an empty fetch blocks in :meth:`wait` and fetches
+        once more if a publish ended the wait (``fetch.max.wait.ms``).
+        """
+        result = self._fetch(max_messages)
+        if not result and timeout and self.wait(timeout):
+            result = self._fetch(max_messages)
         if commit and result:
             self.broker.commit(self.group, result)
         self.messages_consumed += len(result)
         return result
+
+    def _fetch(self, max_messages: Optional[int]) -> List[Message]:
+        self.begin_fetch()
+        if max_messages is None:
+            return [
+                message
+                for topic in self.topics
+                for message in self.broker.consume(topic, self.group)
+            ]
+        # With a bounded budget, draining topics in list order would let
+        # a busy first topic starve the rest; fetch each topic's backlog
+        # (capped at the budget) once, then take messages round-robin —
+        # one per topic per round — until the budget is spent.  Only the
+        # returned messages are committed, so the leftover fetches are
+        # re-read by the next poll.
+        fetched = [
+            list(self.broker.consume(topic, self.group, max_messages))
+            for topic in self.topics
+        ]
+        return round_robin_take(fetched, max_messages)
+
+    def wait(self, timeout: float, clock: Optional[Clock] = None) -> bool:
+        """Block until something was published since the last fetch began.
+
+        True = woken by a publish, False = ``timeout`` passed in silence.
+        See :meth:`MessageBroker.wait_for_publish` for why the condition is
+        a publish sequence number and never ``lag() > 0``.
+        """
+        return self.broker.wait_for_publish(self._fetch_seq, timeout, clock)
 
     def commit(self, messages: List[Message]) -> None:
         self.broker.commit(self.group, messages)
@@ -79,8 +115,4 @@ class Consumer:
     def seek_to_beginning(self) -> None:
         """Reset the group's offsets so the next poll replays every topic."""
         for topic in self.topics:
-            topic_obj = self.broker.topic(topic)
-            for partition in range(topic_obj.num_partitions):
-                key = (self.group, topic, partition)
-                with self.broker._lock:
-                    self.broker._committed[key] = 0
+            self.broker.reset_offsets(self.group, topic)

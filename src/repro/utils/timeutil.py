@@ -9,8 +9,9 @@ synthetically.
 
 from __future__ import annotations
 
+import threading
 import time as _time
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class Clock:
@@ -22,6 +23,26 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         raise NotImplementedError
 
+    def wait_for(
+        self,
+        condition: threading.Condition,
+        predicate: Callable[[], bool],
+        timeout: float,
+    ) -> bool:
+        """Pass up to ``timeout`` of idle time, less if ``predicate`` holds.
+
+        Returns the predicate's value, always evaluated under ``condition``.
+        This generic form has nobody to be woken by: it tests the predicate
+        and otherwise sleeps the whole ``timeout`` on this clock, which is
+        exactly what simulated time wants (instant and deterministic).
+        """
+        with condition:
+            if predicate():
+                return True
+        self.sleep(timeout)
+        with condition:
+            return predicate()
+
 
 class SystemClock(Clock):
     """Wall-clock backed clock (used only when running against real time)."""
@@ -32,12 +53,24 @@ class SystemClock(Clock):
     def sleep(self, seconds: float) -> None:
         _time.sleep(seconds)
 
+    def wait_for(
+        self,
+        condition: threading.Condition,
+        predicate: Callable[[], bool],
+        timeout: float,
+    ) -> bool:
+        """Block on ``condition`` until a notifier makes ``predicate`` true."""
+        with condition:
+            return condition.wait_for(predicate, timeout)
+
 
 class SimulatedClock(Clock):
     """A clock that only moves when told to (or when something sleeps on it).
 
     ``sleep`` advances simulated time instantly, which lets live-mode code be
-    exercised deterministically and at full speed in tests and benchmarks.
+    exercised deterministically and at full speed in tests and benchmarks;
+    ``wait_for`` is the inherited test-then-sleep, so an idle wait costs no
+    real time either.
     """
 
     def __init__(self, start: float = 0.0) -> None:

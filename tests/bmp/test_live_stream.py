@@ -8,6 +8,11 @@ applied.
 
 from __future__ import annotations
 
+import hashlib
+import random
+import threading
+import time
+
 import pytest
 
 from repro.bgp.aspath import ASPath
@@ -23,6 +28,7 @@ from repro.bmp.source import (
     BMPKafkaDataSource,
 )
 from repro.core.interfaces import (
+    DEFAULT_MAX_POLL_MESSAGES,
     LiveDataInterface,
     SingleFileDataInterface,
     data_interface_names,
@@ -33,6 +39,7 @@ from repro.core.stream import BGPStream
 from repro.kafka.broker import MessageBroker
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import write_updates_dump
+from repro.utils.timeutil import SimulatedClock
 
 ROUTER = "rtr1.example"
 
@@ -550,6 +557,286 @@ class TestBoundedWindows:
         ]
 
 
+class CountingSource:
+    """Counts ``poll`` calls; everything else is the wrapped source's."""
+
+    def __init__(self, source):
+        self._source = source
+        self.polls = 0
+        self.largest_poll = 0
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+    def poll(self, max_messages=None):
+        self.polls += 1
+        before = self._source._consumer.messages_consumed
+        pairs = self._source.poll(max_messages)
+        taken = self._source._consumer.messages_consumed - before
+        self.largest_poll = max(self.largest_poll, taken)
+        return pairs
+
+
+def numbered_frame(index, router_index=0):
+    """One Route Monitoring frame whose prefix encodes ``index``."""
+    peer = BMPPeerHeader(
+        address=f"10.0.{router_index}.1", asn=65001 + router_index, timestamp_sec=1000
+    )
+    prefix = f"10.{index >> 8 & 0xFF}.{index & 0xFF}.0/24"
+    return BMPMessage.route_monitoring(peer, make_update(announce=(prefix,))).encode()
+
+
+def batch_prefixes(batch):
+    return [str(elem.prefix) for record in batch for elem in record.elems()]
+
+
+class TestLongPoll:
+    """The idle wait blocks on the partition log, not on a timer."""
+
+    def test_a_publish_wakes_the_idle_feed_long_before_poll_interval(self):
+        broker = MessageBroker()
+        producer = BMPFeedProducer(broker, router=ROUTER)
+        interface = LiveDataInterface(broker=broker, poll_interval=5.0, max_empty_polls=2)
+        publisher = threading.Timer(0.05, producer.publish, args=(numbered_frame(7),))
+        publisher.start()
+        try:
+            started = time.perf_counter()
+            batch = next(interface.record_batches(BGPStream().filters))
+            elapsed = time.perf_counter() - started
+        finally:
+            publisher.join(5)
+        assert batch_prefixes(batch) == ["10.0.7.0/24"]
+        assert elapsed < 1.0  # the parent slept the whole 5 s
+        assert interface.poll_wakeups == {"data": 1, "timeout": 0}
+
+    def test_no_lost_wakeup_and_no_spin_under_a_racing_producer(self):
+        frames = 2000
+        max_empty_polls = 3
+        broker = MessageBroker()
+        producer = BMPFeedProducer(broker, router=ROUTER)
+        source = CountingSource(BMPKafkaDataSource(broker))
+        interface = LiveDataInterface(
+            source=source, poll_interval=0.3, max_empty_polls=max_empty_polls
+        )
+        gaps = random.Random(22)
+
+        def produce():
+            for index in range(frames):
+                time.sleep(gaps.uniform(0.0, 0.002))
+                producer.publish(numbered_frame(index))
+
+        thread = threading.Thread(target=produce, daemon=True)
+        thread.start()
+        seen = []
+        for batch in interface.record_batches(BGPStream().filters):
+            seen.extend(batch_prefixes(batch))
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [f"10.{i >> 8}.{i & 0xFF}.0/24" for i in range(frames)]
+        # At most one extra poll per frame (a publish that raced the fetch
+        # which already returned it), plus the silent polls ending the feed.
+        assert source.polls <= 2 * frames + max_empty_polls + 2
+        assert interface.poll_wakeups["timeout"] == max_empty_polls - 1
+
+    def test_unconsumable_backlog_blocks_instead_of_spinning(self):
+        # lag() stays > 0 and every poll comes back empty (think: messages
+        # held back on purpose).  The wake condition is a publish, not lag,
+        # so the loop makes one poll per poll_interval and then gives up.
+        broker = MessageBroker()
+        BMPFeedProducer(broker, router=ROUTER).publish(numbered_frame(1))
+
+        class StuckSource(BMPKafkaDataSource):
+            polls = 0
+
+            def poll(self, max_messages=None):
+                self.polls += 1
+                self._consumer.begin_fetch()
+                return []
+
+        source = StuckSource(broker)
+        interface = LiveDataInterface(source=source, poll_interval=0.05, max_empty_polls=3)
+        started = time.perf_counter()
+        assert list(interface.record_batches(BGPStream().filters)) == []
+        assert time.perf_counter() - started >= 0.08  # two real timeouts
+        assert source.lag() == 1
+        assert source.polls == 3
+        assert interface.poll_wakeups == {"data": 0, "timeout": 2}
+
+    def test_a_wakeup_that_finds_nothing_is_not_silence(self):
+        # A publish on a topic this consumer does not read wakes it (one
+        # condition per broker); the empty poll that follows must not eat
+        # into max_empty_polls, which counts poll_intervals of silence.
+        broker = MessageBroker()
+        producer = BMPFeedProducer(broker, router=ROUTER)
+        interface = LiveDataInterface(broker=broker, poll_interval=5.0, max_empty_polls=2)
+
+        def publish():
+            broker.produce("some.other.topic", b"noise")
+            time.sleep(0.05)
+            producer.publish(numbered_frame(9))
+
+        publisher = threading.Timer(0.05, publish)
+        publisher.start()
+        try:
+            batch = next(interface.record_batches(BGPStream().filters))
+        finally:
+            publisher.join(5)
+        assert batch_prefixes(batch) == ["10.0.9.0/24"]
+        assert interface.poll_wakeups == {"data": 2, "timeout": 0}
+
+    def test_a_source_without_wait_keeps_the_plain_sleep(self):
+        class PollOnly:
+            def poll(self, max_messages=None):
+                return []
+
+        clock = SimulatedClock(0.0)
+        interface = LiveDataInterface(
+            source=PollOnly(), clock=clock, poll_interval=30.0, max_empty_polls=3
+        )
+        assert list(interface.record_batches(BGPStream().filters)) == []
+        assert clock.now() == 60.0
+
+    def test_simulated_time_is_instant_and_deterministic(self):
+        # Same batches and same final clock reading as before the long
+        # poll: N empty polls, N - 1 intervals of simulated silence, and no
+        # real time slept.
+        broker = MessageBroker()
+        publish_sequence(broker, update_sequence())
+        clock = SimulatedClock(5000.0)
+        interface = LiveDataInterface(
+            broker=broker, clock=clock, poll_interval=30.0, max_empty_polls=4
+        )
+        started = time.perf_counter()
+        batches = list(interface.record_batches(BGPStream().filters))
+        assert time.perf_counter() - started < 1.0
+        assert [[record.time for record in batch] for batch in batches] == [
+            [1000, 1010, 1020, 1030]
+        ]
+        assert clock.now() == 5000.0 + 3 * 30.0
+        assert interface.poll_wakeups == {"data": 0, "timeout": 3}
+
+    def test_idle_waits_are_counted_and_timed_apart_from_polls(self):
+        from repro.core import interfaces, metrics
+
+        def readings():
+            return (
+                interfaces._poll_wakeups.labels("timeout").value(),
+                metrics.stage_latency.labels("idle").snapshot()[2],
+            )
+
+        def run():
+            interface = LiveDataInterface(
+                broker=MessageBroker(),
+                clock=SimulatedClock(0.0),
+                poll_interval=30.0,
+                max_empty_polls=3,
+            )
+            assert list(interface.record_batches(BGPStream().filters)) == []
+
+        before = readings()
+        run()
+        assert readings() == before  # disabled: nothing recorded
+        metrics.enable()
+        try:
+            run()
+        finally:
+            metrics.disable()
+        assert readings() == (before[0] + 2, before[1] + 2)
+
+    def test_stop_ends_an_idle_feed_within_one_poll_interval(self):
+        interface = LiveDataInterface(broker=MessageBroker(), poll_interval=0.1)
+        stream = BGPStream(data_interface=interface)
+        stopper = threading.Timer(0.05, stream.stop)
+        stopper.start()
+        try:
+            started = time.perf_counter()
+            assert list(stream.records()) == []  # max_empty_polls=None: forever
+            assert time.perf_counter() - started < 0.5
+        finally:
+            stopper.join(5)
+
+
+class TestBoundedBacklog:
+    """A backlog drains in polls of at most ``max_poll_messages``."""
+
+    ROUTERS = 3
+    FRAMES = 5000
+
+    def backlog(self):
+        broker = MessageBroker()
+        broker.create_topic(DEFAULT_BMP_TOPIC, num_partitions=self.ROUTERS)
+        topic = broker.topic(DEFAULT_BMP_TOPIC)
+        # one router name per partition (first name seen wins)
+        by_partition = {}
+        for i in range(100):
+            by_partition.setdefault(topic.partition_for(f"rtr{i}.example"), f"rtr{i}.example")
+        routers = list(by_partition.values())
+        assert len(routers) == self.ROUTERS
+        producer = BMPFeedProducer(broker)
+        for index in range(self.FRAMES):
+            slot = index % self.ROUTERS
+            producer.publish(numbered_frame(index, slot), router=routers[slot])
+        return broker, routers
+
+    def by_router(self, batches):
+        order = {}
+        for batch in batches:
+            for record in batch:
+                order.setdefault(record.router, []).extend(
+                    str(elem.prefix) for elem in record.elems()
+                )
+        return order
+
+    def test_default_bound_is_kafkas_max_poll_records(self):
+        assert DEFAULT_MAX_POLL_MESSAGES == 500
+        interface = LiveDataInterface(broker=MessageBroker())
+        assert interface.max_poll_messages == 500
+        unbounded = LiveDataInterface(broker=MessageBroker(), max_poll_messages=None)
+        assert unbounded.max_poll_messages is None
+
+    def test_backlog_drains_in_bounded_contiguous_batches(self):
+        broker, routers = self.backlog()
+        source = CountingSource(BMPKafkaDataSource(broker, group="bounded"))
+        interface = LiveDataInterface(source=source, max_empty_polls=1, poll_interval=0.0)
+        batches = []
+        delivered = 0
+        previous = [0] * self.ROUTERS
+        for batch in interface.record_batches(BGPStream().filters):
+            batches.append(batch)
+            assert len(batch) <= DEFAULT_MAX_POLL_MESSAGES
+            delivered += len(batch)
+            committed = [
+                broker.committed_offset("bounded", DEFAULT_BMP_TOPIC, partition)
+                for partition in range(self.ROUTERS)
+            ]
+            # One frame per message: what is committed is exactly what has
+            # been handed over, and no partition waits for another to drain.
+            assert sum(committed) == delivered
+            assert all(now > before for now, before in zip(committed, previous))
+            previous = committed
+        assert source.largest_poll == DEFAULT_MAX_POLL_MESSAGES
+        assert source.polls == self.FRAMES // DEFAULT_MAX_POLL_MESSAGES + 1
+        assert len(batches) == self.FRAMES // DEFAULT_MAX_POLL_MESSAGES
+
+        unbounded = LiveDataInterface(
+            broker=broker,
+            group="unbounded",
+            max_empty_polls=1,
+            poll_interval=0.0,
+            max_poll_messages=None,
+        )
+        whole = list(unbounded.record_batches(BGPStream().filters))
+        assert [len(batch) for batch in whole] == [self.FRAMES]
+        # Per-router (per-partition) order is what Kafka promises, and it
+        # is the same; across routers the bounded read interleaves where
+        # the unbounded one concatenates partitions.
+        assert self.by_router(batches) == self.by_router(whole)
+        assert sorted(self.by_router(whole)) == sorted(routers)
+        flat = [p for batch in batches for p in batch_prefixes(batch)]
+        assert sorted(flat) == sorted(p for batch in whole for p in batch_prefixes(batch))
+        assert flat != [p for batch in whole for p in batch_prefixes(batch)]
+
+
 class TestStreamConfiguration:
     def test_registry_names(self):
         assert {"broker", "csvfile", "sqlite", "singlefile", "kafka", "bmp"} <= set(
@@ -676,6 +963,17 @@ class TestBGPReaderLive:
         # Peer Down synthesises the withdrawal then the state change
         assert any(line.startswith("W|1000|bmp|") for line in lines)
         assert any("ESTABLISHED|IDLE" in line for line in lines)
+
+    def test_replay_output_is_byte_identical_to_the_parent(self, tmp_path):
+        # A recorded file is one Kafka message however many frames it
+        # holds, so the 500-message poll bound cannot re-order or split it.
+        # The digest was taken from the commit before the bound existed.
+        path = tmp_path / "long.bmp"
+        path.write_bytes(b"".join(numbered_frame(i, i % 3) for i in range(1200)))
+        status, lines = self.run_reader(["--live", str(path)])
+        assert status == 0 and len(lines) == 1200
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "8159754565dc923dc4f60ce138204b29ccbab46a3782d387e17ad984d5bd60a1"
 
     def test_bmp_router_and_topic_knobs(self, tmp_path):
         status, lines = self.run_reader(

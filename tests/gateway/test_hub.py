@@ -10,6 +10,7 @@ the decode loop finishes regardless.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -392,6 +393,21 @@ class TestHubLifecycle:
         assert subscriber.snapshot()["elems_matched"] == len(messages)
         hub.stop()  # no-op after finish
 
+    def test_stop_interrupts_an_idle_feed_within_one_poll_interval(self):
+        # The bridge is blocked in the idle wait of a feed that never ends
+        # (max_empty_polls=None); it used to outlive stop() altogether.
+        interface = LiveDataInterface(broker=MessageBroker(), poll_interval=0.2)
+        hub = StreamHub(BGPStream(live=interface))
+        subscriber = hub.subscribe(FilterSet())
+        thread = hub.start()
+        time.sleep(0.05)  # let the bridge reach its wait
+        started = time.perf_counter()
+        hub.stop()
+        assert time.perf_counter() - started < 0.5
+        assert not thread.is_alive()
+        assert hub.finished and subscriber.finished and hub.error is None
+        assert hub.stats()["poll_wakeups"]["data"] == 0
+
     def test_stats_report_fanout_and_intern_counters(self):
         messages, _ = striped_feed(seconds=3)
         hub = live_hub(messages)
@@ -404,4 +420,6 @@ class TestHubLifecycle:
         assert stats["finished"] is True
         assert stats["frames_decoded"] == len(messages)
         assert stats["corrupt_frames"] == 0
+        # live_hub ends at the first empty poll: no idle wait ever ran
+        assert stats["poll_wakeups"] == {"data": 0, "timeout": 0}
         assert stats["intern"]  # the shared pool saw traffic

@@ -69,7 +69,7 @@ class TestSupervisedRecovery:
         assert sum(w.crash_before for w in ref_windows) == 0
 
         # Same scenario with three scripted non-transient poll crashes.
-        # max_poll_messages is unbounded, so each successful poll drains
+        # The feed fits in one bounded poll, so each successful poll drains
         # what is available; faults at later call indices land between
         # polls of different incarnations.
         plan = FaultPlan(fail_at=(0, 2, 4), error=RuntimeError)
@@ -89,6 +89,67 @@ class TestSupervisedRecovery:
         stats = hub.stats()
         assert stats["crashes"] == 3 and stats["restarts"] == 3
         assert stats["error"] == "RuntimeError"  # last crash stays visible
+
+    def test_a_crash_mid_fanout_loses_at_most_one_bounded_poll(self):
+        """Offsets commit per poll, so what a crash between a poll's commit
+        and its fan-out can lose is that poll's remainder (<= 500 messages),
+        not the whole backlog a restarted gateway finds waiting."""
+        routers, total, crash_at = 3, 5000, 100
+        broker = MessageBroker()
+        broker.create_topic(TOPIC, num_partitions=routers)
+        producer = BMPFeedProducer(broker, topic=TOPIC)
+        names = _routers_on_distinct_partitions(broker.topic(TOPIC), routers)
+        for i in range(total):
+            prefix = f"10.{i >> 8}.{i & 0xFF}.0/24"
+            producer.publish(
+                make_update(65001, prefix, BASE_TS + i // 100), router=names[i % routers]
+            )
+
+        def hub_for(group):
+            def stream_factory() -> BGPStream:
+                return BGPStream(
+                    data_interface=LiveDataInterface(
+                        broker=broker,
+                        topics=[TOPIC],
+                        group=group,
+                        max_empty_polls=1,
+                        poll_interval=0.0,
+                    )
+                )
+
+            return StreamHub(
+                stream_factory=stream_factory,
+                restart_backoff=RetryPolicy(max_retries=8, base=0.0),
+                clock=SimulatedClock(0.0),
+            )
+
+        clean = hub_for("bounded.clean")
+        reference = clean.subscribe(max_queued_windows=128)
+        clean.run()
+        expect, _, _ = delivered(reference)
+        assert len(expect) == total
+
+        hub = hub_for("bounded.crash")
+        subscriber = hub.subscribe(max_queued_windows=128)
+        fan_out, calls = hub._fan_out, []
+
+        def crash_once(record):
+            calls.append(record)
+            if len(calls) == crash_at + 1:
+                raise RuntimeError("bridge bug while fanning out")
+            fan_out(record)
+
+        hub._fan_out = crash_once
+        hub.run()
+
+        prefixes, _, windows = delivered(subscriber)
+        assert hub.crashes == 1 and hub.restarts == 1 and not hub.gave_up
+        assert sum(w.crash_before for w in windows) == 1
+        assert len(set(prefixes)) == len(prefixes)  # none duplicated
+        # Delivered before the crash, then everything from the next poll on:
+        # the loss is the committed remainder of the first 500-message poll.
+        assert prefixes == expect[:crash_at] + expect[500:]
+        assert 0 < total - len(prefixes) <= 500
 
     def test_restart_budget_exhaustion_gives_up_with_a_distinct_error(self):
         messages, _ = striped_feed(seconds=4, nets=("10.1",))
@@ -255,6 +316,14 @@ class TestAckRetention:
         subscriber.requeue_unacked()
         replayed = [subscriber.pop_window() for _ in range(2)]
         assert [w.crash_before for w in replayed] == [1, 0]
+
+
+def _routers_on_distinct_partitions(topic, count):
+    by_partition = {}
+    for i in range(100):
+        by_partition.setdefault(topic.partition_for(f"rtr{i}.gw"), f"rtr{i}.gw")
+    assert len(by_partition) == count == topic.num_partitions
+    return list(by_partition.values())
 
 
 def _elem(ts, prefix):

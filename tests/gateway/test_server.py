@@ -281,6 +281,7 @@ class TestHTTPSurface:
             profiling.disable()
         body = json.loads(response.split(b"\r\n\r\n", 1)[1])
         assert body["frames_decoded"] == len(messages)
+        assert body["poll_wakeups"] == {"data": 0, "timeout": 0}
         assert body["records_seen"] == len(messages)
         assert body["finished"] is True
         assert "decode" in body  # profiling counters ride along when enabled

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kafka.broker import MessageBroker, Topic
 from repro.kafka.client import Consumer, Producer
 from repro.kafka.sync import CompletenessSyncServer, TimeoutSyncServer, publish_bin_metadata
+from repro.utils.timeutil import SimulatedClock
 
 
 class TestTopic:
@@ -21,6 +27,14 @@ class TestTopic:
         topic = Topic("t", num_partitions=4)
         partitions = {topic.append("stable-key", i).partition for i in range(10)}
         assert len(partitions) == 1
+
+    def test_keyed_partitioning_is_stable_across_interpreters(self):
+        # hash(str) is salted per process (PYTHONHASHSEED); a router must
+        # land on the same partition every run, so the key goes through
+        # crc32.  The constants pin the mapping itself.
+        topic = Topic("t", num_partitions=8)
+        assert topic.partition_for("rtr1.example") == zlib.crc32(b"rtr1.example") % 8
+        assert [topic.partition_for(f"r{i}") for i in range(6)] == [7, 1, 3, 5, 6, 0]
 
     def test_read_from_offset(self):
         topic = Topic("t")
@@ -182,6 +196,142 @@ class TestBrokerAndClients:
                 break
             received.extend(m.value for m in messages)
         assert received == values
+
+
+class TestLongPoll:
+    """``Consumer.wait``: wake on publish, never on lag."""
+
+    def test_wait_times_out_in_silence_on_simulated_time(self):
+        broker = MessageBroker()
+        consumer = Consumer(broker, group="g", topics=["data"])
+        clock = SimulatedClock(100.0)
+        assert consumer.poll() == []
+        started = time.perf_counter()
+        assert consumer.wait(30.0, clock) is False
+        assert clock.now() == 130.0
+        assert time.perf_counter() - started < 1.0  # no real time slept
+
+    def test_publish_since_the_last_fetch_ends_the_wait_at_once(self):
+        broker = MessageBroker()
+        producer = Producer(broker, default_topic="data")
+        consumer = Consumer(broker, group="g", topics=["data"])
+        clock = SimulatedClock(0.0)
+        assert consumer.poll() == []
+        producer.send("x")
+        assert consumer.wait(30.0, clock) is True
+        assert clock.now() == 0.0  # woken, not timed out
+        assert [m.value for m in consumer.poll()] == ["x"]
+        assert consumer.wait(30.0, clock) is False
+
+    def test_uncommitted_backlog_does_not_end_the_wait(self):
+        # The wake condition is "published since my last fetch began", not
+        # lag() > 0: messages left uncommitted on purpose must block, not
+        # spin.
+        broker = MessageBroker()
+        Producer(broker, default_topic="data").send("held back")
+        consumer = Consumer(broker, group="g", topics=["data"])
+        assert len(consumer.poll(commit=False)) == 1
+        assert consumer.lag() == 1
+        started = time.perf_counter()
+        assert consumer.wait(0.05) is False
+        assert time.perf_counter() - started >= 0.04
+
+    def test_wait_wakes_on_a_publish_from_another_thread(self):
+        broker = MessageBroker()
+        producer = Producer(broker, default_topic="data")
+        consumer = Consumer(broker, group="g", topics=["data"])
+        assert consumer.poll() == []
+        publisher = threading.Timer(0.05, producer.send, args=("x",))
+        publisher.start()
+        try:
+            started = time.perf_counter()
+            assert consumer.wait(5.0) is True
+            assert time.perf_counter() - started < 1.0
+        finally:
+            publisher.join(5)
+        assert [m.value for m in consumer.poll()] == ["x"]
+
+    def test_poll_with_timeout_blocks_for_the_first_message(self):
+        broker = MessageBroker()
+        producer = Producer(broker, default_topic="data")
+        consumer = Consumer(broker, group="g", topics=["data"])
+        publisher = threading.Timer(0.05, producer.send, args=("x",))
+        publisher.start()
+        try:
+            started = time.perf_counter()
+            assert [m.value for m in consumer.poll(timeout=5.0)] == ["x"]
+            assert time.perf_counter() - started < 1.0
+        finally:
+            publisher.join(5)
+        assert consumer.poll(timeout=0.01) == []
+
+    def test_a_publish_during_the_fetch_is_not_a_lost_wakeup(self):
+        # The sequence number is sampled before the fetch reads the log: a
+        # message that lands after the read but before wait() still wakes.
+        broker = MessageBroker()
+        producer = Producer(broker, default_topic="data")
+        consumer = Consumer(broker, group="g", topics=["data"])
+        consumer.begin_fetch()
+        empty = broker.consume("data", "g")
+        producer.send("raced")
+        assert empty == []
+        assert consumer.wait(30.0, SimulatedClock(0.0)) is True
+
+    def test_many_producers_never_lose_a_wakeup_or_a_message(self):
+        # More producer threads than cores and a short switch interval.  A
+        # lost update of the sequence number fails the count; a lost
+        # notification strands the consumer in 5 s waits and fails the
+        # time bound.
+        producers, each = 8, 250
+        broker = MessageBroker()
+        broker.create_topic("data", num_partitions=4)
+        consumer = Consumer(broker, group="g", topics=["data"])
+
+        def produce(worker):
+            for index in range(each):
+                broker.produce("data", (worker, index), key=f"worker-{worker}")
+
+        threads = [threading.Thread(target=produce, args=(w,)) for w in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            received = []
+            deadline = time.perf_counter() + 20.0
+            for thread in threads:
+                thread.start()
+            while time.perf_counter() < deadline:
+                # The consumer's contract: drain until a poll comes back
+                # empty, and only then wait.
+                while batch := consumer.poll(max_messages=100):
+                    received.extend(batch)
+                if len(received) >= producers * each:
+                    break
+                consumer.wait(5.0)
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.perf_counter() < deadline - 15.0
+        assert broker.publish_seq == producers * each
+        values = [message.value for message in received]
+        assert sorted(values) == [(w, i) for w in range(producers) for i in range(each)]
+        for worker in range(producers):  # per-key order survives the interleave
+            assert [i for w, i in values if w == worker] == list(range(each))
+        assert consumer.wait(0.01) is False
+
+    def test_reset_offsets_replays_one_topic_of_one_group(self):
+        broker = MessageBroker()
+        broker.create_topic("data", num_partitions=2)
+        for index in range(6):
+            broker.produce("data", index, key=f"k{index}")
+            broker.produce("other", index)
+        a = Consumer(broker, group="a", topics=["data", "other"])
+        b = Consumer(broker, group="b", topics=["data"])
+        assert len(a.poll()) == 12 and len(b.poll()) == 6
+        broker.reset_offsets("a", "data")
+        assert sorted(m.value for m in a.poll()) == list(range(6))
+        assert b.poll() == []
 
 
 class TestSyncServers:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.utils.timeutil import SimulatedClock, SystemClock, bin_start, iter_bins
@@ -29,6 +32,16 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             clock.set(50)
 
+    def test_wait_for_tests_the_predicate_then_advances_by_the_timeout(self):
+        clock = SimulatedClock(100)
+        condition = threading.Condition()
+        assert clock.wait_for(condition, lambda: True, 30) is True
+        assert clock.now() == 100  # nothing to wait for: no time passes
+        started = time.perf_counter()
+        assert clock.wait_for(condition, lambda: False, 30) is False
+        assert clock.now() == 130
+        assert time.perf_counter() - started < 1.0  # and no real time either
+
 
 class TestSystemClock:
     def test_now_is_monotone_nondecreasing(self):
@@ -36,6 +49,31 @@ class TestSystemClock:
         first = clock.now()
         second = clock.now()
         assert second >= first
+
+    def test_wait_for_blocks_until_notified(self):
+        clock = SystemClock()
+        condition = threading.Condition()
+        flag = []
+
+        def fire():
+            with condition:
+                flag.append(True)
+                condition.notify_all()
+
+        timer = threading.Timer(0.05, fire)
+        timer.start()
+        try:
+            started = time.perf_counter()
+            assert clock.wait_for(condition, lambda: bool(flag), 5.0) is True
+            assert time.perf_counter() - started < 1.0
+        finally:
+            timer.join(5)
+
+    def test_wait_for_times_out(self):
+        clock = SystemClock()
+        started = time.perf_counter()
+        assert clock.wait_for(threading.Condition(), lambda: False, 0.05) is False
+        assert time.perf_counter() - started >= 0.04
 
 
 class TestBinning:
