@@ -10,7 +10,7 @@ tests; here we measure the fan-out core) with 1024 filtered subscribers
 plus one deliberately slow, never-draining subscriber, and asserts:
 
 1. **decode-once** — the Kafka source decoded exactly one frame per
-   published message and the profiling tier scanned each frame once,
+   published message and the decode tier counted each frame once,
    regardless of subscriber count;
 2. **exact delivery** — every subscriber received precisely its /16 slice,
    in timestamp order;
@@ -31,7 +31,7 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.bmp import BMPFeedProducer, BMPMessage, BMPPeerHeader
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.filters import FilterSet
 from repro.core.interfaces import LiveDataInterface
 from repro.core.stream import BGPStream
@@ -103,25 +103,27 @@ def test_gateway_fanout_1k_subscribers(benchmark):
     state = {}
 
     def setup():
-        profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         state["hub"], state["fast"], state["slow"] = build_hub()
         return (), {}
 
     def run_fanout():
         state["hub"].run()
 
-    benchmark.pedantic(run_fanout, setup=setup, rounds=1)
+    try:
+        benchmark.pedantic(run_fanout, setup=setup, rounds=1)
+    finally:
+        metrics.disable()
     hub, fast, slow = state["hub"], state["fast"], state["slow"]
-    decode = profiling.snapshot()
-    profiling.disable()
 
     # 1. Decode-once, asserted from both ends: the Kafka source's frame
-    # counter and the profiling tier's scan counter (what the CLI reports
+    # counter and the decode tier's scan counter (what the CLI reports
     # under --decode-stats) each saw every frame exactly once — not
     # SUBSCRIBERS times.
     source = hub.stream._interface.source
     assert source.frames_decoded == FRAMES
-    assert decode.bmp_frames_scanned == FRAMES
+    assert metrics.decode_counts()["bmp_frames_scanned"] == FRAMES
     assert hub.elems_seen == FRAMES
     assert hub.elems_delivered == FRAMES * FANOUT + slow.elems_matched
 

@@ -9,7 +9,11 @@ Two claims about the metrics tier:
 2. **enabled** — the per-thread sharded hot paths (dict probe + integer
    add; two ``perf_counter`` calls per record for the decode span) must
    cost <5% on the lazy-decode touch-everything replay, measured
-   min-of-rounds against the disabled replay in the same process.
+   min-of-rounds against the disabled replay in the same process.  The
+   decode tier counts into the registry under the same switch (15,002
+   increments per replay: records, bytes, attribute blocks and fields,
+   lazy and materialised elems), so the enabled side is everything
+   ``--metrics-port`` or ``--decode-stats`` pays, not a subset of it.
 
 The workload is the transit-grade update population from
 ``test_bench_lazy_decode`` (long prepended paths, large community sets):

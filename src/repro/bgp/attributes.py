@@ -19,8 +19,13 @@ from repro.bgp.aspath import ASPath, SegmentType
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.wirecache import address_str
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.intern import default_pool
+
+# Decode-tier series, bound once; counted only while metrics are enabled.
+_blocks_eager = metrics.decode_attr_blocks.labels("eager")
+_blocks_deferred = metrics.decode_attr_blocks.labels("deferred")
+_fields_materialised = metrics.decode_attr_fields.labels()
 
 
 class Origin(IntEnum):
@@ -172,8 +177,8 @@ class PathAttributes:
         Unknown attribute types are skipped (they are preserved on the wire
         by real routers but BGPStream does not expose them either).
         """
-        if profiling.counters is not None:
-            profiling.counters.attr_blocks_eager += 1
+        if metrics.enabled:
+            _blocks_eager.inc()
         attrs = cls()
         offset = 0
         while offset < len(data):
@@ -423,8 +428,8 @@ class LazyPathAttributes(PathAttributes):
                 deferred[attr_type] = body
             else:
                 self._apply(attr_type, body)
-        if profiling.counters is not None:
-            profiling.counters.attr_blocks_deferred += 1
+        if metrics.enabled:
+            _blocks_deferred.inc()
 
     # -- lazy machinery ----------------------------------------------------
 
@@ -445,8 +450,8 @@ class LazyPathAttributes(PathAttributes):
             _set_as_path(self, default_pool().path(_get_as_path(self)))
         elif attr_type == _T_COMMUNITIES:
             _set_communities(self, default_pool().communities(_get_communities(self)))
-        if profiling.counters is not None:
-            profiling.counters.attr_fields_materialised += 1
+        if metrics.enabled:
+            _fields_materialised.inc()
 
     def materialise_all(self) -> None:
         """Force-parse every remaining deferred attribute."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator, List, Optional
 
-from repro.core import profiling
+from repro.core import metrics
 from repro.bmp.constants import (
     BMP_VERSION,
     COMMON_HEADER_LEN,
@@ -36,6 +36,10 @@ from repro.bmp.messages import BMPMessage, CorruptBMPMessage, decode_message_bod
 
 #: Precompiled codec for the common header: version, total length, type.
 _COMMON_HEADER_STRUCT = struct.Struct("!BIB")
+
+# Decode-tier series, bound once; counted only while metrics are enabled.
+_frames_scanned = metrics.decode_frames_scanned.labels()
+_bytes_viewed = metrics.decode_bytes.labels("viewed")
 
 
 def encode_message(message: BMPMessage) -> bytes:
@@ -141,9 +145,8 @@ class BMPStreamParser:
                 self._count(message)
                 offset += length
                 self.bytes_consumed += length
-                counters = profiling.counters
-                if counters is not None:
-                    counters.bmp_frames_scanned += 1
+                if metrics.enabled:
+                    _frames_scanned.inc()
                 yield message
         finally:
             # Must also run when the caller abandons the iterator mid-drain
@@ -227,10 +230,9 @@ def scan_buffer(data: bytes) -> Iterator[BMPMessage]:
         if offset < size:
             yield _corrupt("truncated BMP message at end of stream", bytes(view[offset:]))
     finally:
-        counters = profiling.counters
-        if counters is not None:
-            counters.bmp_frames_scanned += frames
-            counters.bytes_viewed += offset
+        if metrics.enabled:
+            _frames_scanned.inc(frames)
+            _bytes_viewed.inc(offset)
 
 
 def scan_messages(data: bytes) -> List[BMPMessage]:

@@ -36,10 +36,10 @@ Design points:
   counted, dropped from the manifest and treated as a miss — the wire
   decode path is always there as the fallback, and the preserved bytes are
   there for a post-mortem.
-* **Observable.**  Hit/miss/store/eviction counters are kept per cache and
-  folded into the ``--decode-stats`` profiling counters
-  (:mod:`repro.core.profiling`), so a warm replay visibly reports where its
-  records came from.
+* **Observable.**  Hit/miss/store/eviction counters are kept per cache
+  handle (:meth:`SegmentCache.stats`) and counted process-wide in
+  ``repro_segment_cache_events_total``, which ``--decode-stats`` reads, so
+  a warm replay visibly reports where its records came from.
 
 Processes share a cache by *path*: each one opens ``SegmentCache(root)``
 on the same directory and SQLite's locking arbitrates concurrent access.
@@ -55,7 +55,7 @@ import threading
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import metrics, profiling
+from repro.core import metrics
 from repro.core.record import BGPStreamRecord, DumpPosition, RecordStatus
 from repro.mrt.constants import MRTType
 from repro.mrt.parser import file_signature
@@ -188,9 +188,6 @@ class SegmentCache:
         self.hits += 1
         if metrics.enabled:
             _cache_events.inc(event="hit")
-        counters = profiling.counters
-        if counters is not None:
-            counters.segment_hits += 1
         return records
 
     def store(
@@ -282,9 +279,6 @@ class SegmentCache:
         self.misses += 1
         if metrics.enabled:
             _cache_events.inc(event="miss")
-        counters = profiling.counters
-        if counters is not None:
-            counters.segment_misses += 1
         return None
 
     def _touch(self, key: str) -> None:
@@ -307,9 +301,6 @@ class SegmentCache:
         self.corrupt += 1
         if metrics.enabled:
             _cache_events.inc(event="corrupt")
-        counters = profiling.counters
-        if counters is not None:
-            counters.segment_corrupt += 1
 
     def _next_seq_locked(self) -> int:
         row = self._conn.execute("SELECT COALESCE(MAX(use_seq), 0) FROM segments").fetchone()

@@ -19,8 +19,8 @@ import importlib
 
 #: The package's public names and their submodules, imported on first
 #: access (PEP 562): the decode layers (``repro.bgp``, ``repro.mrt``,
-#: ``repro.bmp``) import ``repro.core.intern`` / ``metrics`` / ``profiling``
-#: and must not drag in ``stream``, which imports them back.
+#: ``repro.bmp``) import ``repro.core.intern`` / ``metrics`` and must not
+#: drag in ``stream``, which imports them back.
 _SUBMODULES = {
     "InternPool": "intern",
     "default_pool": "intern",

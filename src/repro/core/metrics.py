@@ -31,9 +31,9 @@ Design, in the spirit of the PR 7 ``_CounterBlock`` audit:
   renders the 0.0.4 text format — ``# HELP`` / ``# TYPE`` headers, escaped
   help strings and label values, labels in declaration order, histograms
   with cumulative ``le`` buckets plus ``_sum`` / ``_count``.
-* **Collected (bridged) metrics.**  Tiers that predate this registry keep
-  their own exact counters (``DecodeStats``, ``InternPool``, hub/subscriber
-  tallies).  Rather than double-counting on the hot path, those are
+* **Collected (bridged) metrics.**  Tiers that keep their own exact
+  counters for other readers (``InternPool``, hub/subscriber tallies)
+  are not counted twice on the hot path; they are
   *bridged*: metrics created with ``collected=True`` are reset at the start
   of every :meth:`~MetricsRegistry.collect` cycle and then repopulated by
   registered collector callbacks that read the live objects.  Object-bound
@@ -56,7 +56,6 @@ import time
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import profiling
 from repro.core.intern import default_pool
 
 __all__ = [
@@ -75,6 +74,9 @@ __all__ = [
     "PIPELINE_STAGES",
     "exposition",
     "metrics_snapshot",
+    "decode_counts",
+    "decode_summary_lines",
+    "reset_decode_counts",
     "MetricsLogEmitter",
     "start_metrics_server",
 ]
@@ -332,12 +334,17 @@ class Metric:
 
     def reset(self) -> None:
         """Drop labeled children and zero the rest (collect-cycle reset)."""
+        if not self.labelnames:
+            self.zero()
+            return
         with self._lock:
-            if self.labelnames:
-                self._children = {}
-            else:
-                for child in self._children.values():
-                    child._reset()
+            self._children = {}
+
+    def zero(self) -> None:
+        """Zero every child in place; children bound ahead of time stay live."""
+        with self._lock:
+            for child in self._children.values():
+                child._reset()
 
     def _label_text(self, values: Tuple[str, ...], extra: str = "") -> str:
         pairs = [
@@ -693,38 +700,120 @@ def trace_span(stage: str):
 
 
 # ---------------------------------------------------------------------------
-# Bridged tiers: decode profiling counters and the intern pool
+# The decode tier: counted where it happens, read by --decode-stats and /stats
 # ---------------------------------------------------------------------------
 
 decode_records_scanned = counter(
     "repro_decode_records_scanned_total",
-    "MRT records scanned by the decode tier (populated while decode "
-    "profiling is enabled; see repro.core.profiling).",
-    collected=True,
+    "MRT records scanned by the decode tier.",
 )
 decode_frames_scanned = counter(
     "repro_decode_bmp_frames_scanned_total",
     "BMP frames scanned by the live decode tier.",
-    collected=True,
 )
 decode_bytes = counter(
     "repro_decode_bytes_total",
     "Bytes handled by the decode tier, split into zero-copy views vs copies.",
     labelnames=("kind",),
-    collected=True,
 )
 decode_attr_blocks = counter(
     "repro_decode_attr_blocks_total",
     "Path-attribute blocks deferred (lazy) vs decoded eagerly.",
     labelnames=("kind",),
-    collected=True,
+)
+decode_attr_fields = counter(
+    "repro_decode_attr_fields_materialised_total",
+    "Deferred path attributes parsed on first read.",
 )
 decode_elems = counter(
     "repro_decode_elems_total",
     "Elems created lazily, materialised on read, or built eagerly.",
     labelnames=("kind",),
-    collected=True,
 )
+# Every decode series exists from import on, in this order: a scrape shows
+# explicit zeros, and the decode sites bind their children once.
+for _family, _kinds in (
+    (decode_bytes, ("viewed", "copied")),
+    (decode_attr_blocks, ("deferred", "eager")),
+    (decode_elems, ("lazy", "materialised", "eager")),
+):
+    for _kind in _kinds:
+        _family.labels(_kind)
+del _family, _kinds, _kind
+
+#: The registry series behind ``--decode-stats`` and ``/stats``' ``decode``
+#: object: report key → (family name, label values).  The segment-cache
+#: family is registered by :mod:`repro.broker.segments`; until that is
+#: imported its keys read 0.
+DECODE_STATS_SERIES = {
+    "records_scanned": ("repro_decode_records_scanned_total", ()),
+    "bytes_viewed": ("repro_decode_bytes_total", ("viewed",)),
+    "bytes_copied": ("repro_decode_bytes_total", ("copied",)),
+    "attr_blocks_deferred": ("repro_decode_attr_blocks_total", ("deferred",)),
+    "attr_blocks_eager": ("repro_decode_attr_blocks_total", ("eager",)),
+    "attr_fields_materialised": ("repro_decode_attr_fields_materialised_total", ()),
+    "lazy_elems": ("repro_decode_elems_total", ("lazy",)),
+    "elems_materialised": ("repro_decode_elems_total", ("materialised",)),
+    "eager_elems": ("repro_decode_elems_total", ("eager",)),
+    "bmp_frames_scanned": ("repro_decode_bmp_frames_scanned_total", ()),
+    "segment_hits": ("repro_segment_cache_events_total", ("hit",)),
+    "segment_misses": ("repro_segment_cache_events_total", ("miss",)),
+    "segment_corrupt": ("repro_segment_cache_events_total", ("corrupt",)),
+}
+
+
+def reset_decode_counts() -> None:
+    """Zero the families ``--decode-stats`` reads: a run starts a fresh window."""
+    for name in {name for name, _labels in DECODE_STATS_SERIES.values()}:
+        family = _default_registry.get(name)
+        if family is not None:
+            family.zero()
+
+
+def decode_counts() -> Dict[str, int]:
+    """The decode tally: registry series plus the intern pool's totals."""
+    counts = {}
+    for key, (name, labels) in DECODE_STATS_SERIES.items():
+        family = _default_registry.get(name)
+        # children(), not labels(): reading must not create a series.
+        child = dict(family.children()).get(labels) if family is not None else None
+        counts[key] = int(child.value()) if child is not None else 0
+    per_kind = default_pool().stats().values()
+    counts["intern_hits"] = sum(stats["hits"] for stats in per_kind)
+    counts["intern_misses"] = sum(stats["misses"] for stats in per_kind)
+    return counts
+
+
+def decode_summary_lines() -> List[str]:
+    """The ``--decode-stats`` report (both CLIs print each line behind ``# ``)."""
+    c = decode_counts()
+    total_bytes = c["bytes_viewed"] + c["bytes_copied"]
+    viewed_pct = (100.0 * c["bytes_viewed"] / total_bytes) if total_bytes else 0.0
+    skipped = max(0, c["lazy_elems"] - c["elems_materialised"])
+    return [
+        f"records scanned:          {c['records_scanned']}",
+        f"bmp frames scanned:       {c['bmp_frames_scanned']}",
+        f"bytes viewed (zero-copy): {c['bytes_viewed']} ({viewed_pct:.1f}%)",
+        f"bytes copied:             {c['bytes_copied']}",
+        f"attr blocks deferred:     {c['attr_blocks_deferred']}",
+        f"attr blocks eager:        {c['attr_blocks_eager']}",
+        f"attr fields materialised: {c['attr_fields_materialised']}",
+        f"lazy elems created:       {c['lazy_elems']}",
+        f"elems materialised:       {c['elems_materialised']}",
+        f"elems skipped (lazy win): {skipped}",
+        f"eager elems created:      {c['eager_elems']}",
+        f"intern hits:              {c['intern_hits']}",
+        f"intern misses:            {c['intern_misses']}",
+        f"segment cache hits:       {c['segment_hits']}",
+        f"segment cache misses:     {c['segment_misses']}",
+        f"segment files corrupt:    {c['segment_corrupt']}",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Bridged tier: the intern pool
+# ---------------------------------------------------------------------------
+
 intern_operations = counter(
     "repro_intern_operations_total",
     "Probes of the process-wide intern pool by kind and outcome (one per "
@@ -740,22 +829,6 @@ intern_entries = gauge(
 )
 
 
-def _collect_decode() -> None:
-    """Bridge :mod:`repro.core.profiling` counters into the decode metrics."""
-    counters = profiling.counters
-    if counters is None:
-        counters = profiling.DecodeStats()
-    decode_records_scanned.set_total(counters.records_scanned)
-    decode_frames_scanned.set_total(counters.bmp_frames_scanned)
-    decode_bytes.set_total(counters.bytes_viewed, kind="viewed")
-    decode_bytes.set_total(counters.bytes_copied, kind="copied")
-    decode_attr_blocks.set_total(counters.attr_blocks_deferred, kind="deferred")
-    decode_attr_blocks.set_total(counters.attr_blocks_eager, kind="eager")
-    decode_elems.set_total(counters.lazy_elems, kind="lazy")
-    decode_elems.set_total(counters.elems_materialised, kind="materialised")
-    decode_elems.set_total(counters.eager_elems, kind="eager")
-
-
 def _collect_intern() -> None:
     """Bridge the process-wide intern pool's exact tallies.
 
@@ -769,7 +842,6 @@ def _collect_intern() -> None:
         intern_entries.set(stats["size"], kind=kind)
 
 
-_default_registry.add_collector(_collect_decode)
 _default_registry.add_collector(_collect_intern)
 
 

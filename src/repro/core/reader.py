@@ -31,7 +31,7 @@ from repro.core.interfaces import (
     SingleFileDataInterface,
     SQLiteDataInterface,
 )
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.record import RecordStatus
 from repro.core.stream import BGPStream
 
@@ -264,26 +264,21 @@ def _build_live_interface(args: argparse.Namespace) -> LiveDataInterface:
 
 def run(args: argparse.Namespace, out: IO[str]) -> int:
     """Run BGPReader, writing lines to ``out``; returns the exit status."""
-    from repro.core import metrics
-
     stats = args.decode_stats
     metrics_port = args.metrics_port
     metrics_log = args.metrics_log
+    observed = stats or metrics_port is not None or metrics_log is not None
     metrics_server = None
     metrics_emitter = None
-    if metrics_port is not None or metrics_log is not None:
-        # The telemetry tier rides the decode profiling counters for its
-        # decode view, so a metrics run enables both.
+    if observed:
         metrics.enable()
-        profiling.enable()
+        metrics.reset_decode_counts()
         if metrics_port is not None:
             metrics_server = metrics.start_metrics_server(metrics_port)
         if metrics_log is not None:
             metrics_emitter = metrics.MetricsLogEmitter(
                 sys.stderr, interval=metrics_log
             ).start()
-    if stats:
-        profiling.enable()
     try:
         return _run_stream(args, out)
     finally:
@@ -291,23 +286,16 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
             metrics_emitter.stop()
         if metrics_server is not None:
             metrics_server.close()
-        if metrics_port is not None or metrics_log is not None:
+        if observed:
             metrics.disable()
-            if not stats:
-                profiling.disable()
         if stats:
-            for line in profiling.snapshot().summary_lines():
+            for line in metrics.decode_summary_lines():
                 print(f"# {line}", file=out)
-            profiling.disable()
 
 
 def _run_stream(args: argparse.Namespace, out: IO[str]) -> int:
     stream = build_stream(args)
-    try:
-        status = _print_stream(args, stream, out)
-    finally:
-        if profiling.counters is not None:
-            profiling.record_intern_stats(stream.intern_pool)
+    status = _print_stream(args, stream, out)
     # A paginated pull that stopped early (e.g. --limit) leaves a resume
     # token; print it so the next invocation can pass it back as --cursor.
     cursor = getattr(stream._interface, "last_cursor", None)

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterator, Optional, Tuple
 
 from repro.bgp.attributes import LazyPathAttributes
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.elem import BGPElem, ElemType
 from repro.mrt.records import (
     BGP4MPMessage,
@@ -29,6 +29,11 @@ from repro.mrt.records import (
     RIBPrefixRecord,
 )
 
+
+# Decode-tier series, bound once; counted only while metrics are enabled.
+_lazy_elems = metrics.decode_elems.labels("lazy")
+_elems_materialised = metrics.decode_elems.labels("materialised")
+_eager_elems = metrics.decode_elems.labels("eager")
 
 _set_elem_next_hop = BGPElem.__dict__["next_hop"].__set__
 _set_elem_as_path = BGPElem.__dict__["as_path"].__set__
@@ -83,8 +88,8 @@ class LazyBGPElem(BGPElem):
         # Flag readiness last: a racing reader that saw False just repeats
         # the (idempotent) fill instead of observing half-set fields.
         self._ready = True
-        if profiling.counters is not None:
-            profiling.counters.elems_materialised += 1
+        if metrics.enabled:
+            _elems_materialised.inc()
 
     def __reduce__(self):
         return (
@@ -243,7 +248,7 @@ class BGPStreamRecord:
         timestamp = self.mrt.timestamp
         prefix = body.prefix
         version = prefix.version
-        counters = profiling.counters
+        counting = metrics.enabled
         for entry in body.entries:
             peer_address = ""
             peer_asn = 0
@@ -255,8 +260,8 @@ class BGPStreamRecord:
             if type(attrs) is LazyPathAttributes and attrs._deferred:
                 # Attribute values still deferred: hand out a lazy elem so
                 # the filter gate can reject it without parsing them.
-                if counters is not None:
-                    counters.lazy_elems += 1
+                if counting:
+                    _lazy_elems.inc()
                 yield LazyBGPElem(
                     ElemType.RIB,
                     timestamp,
@@ -269,8 +274,8 @@ class BGPStreamRecord:
                     self.collector,
                 )
                 continue
-            if counters is not None:
-                counters.eager_elems += 1
+            if counting:
+                _eager_elems.inc()
             yield BGPElem(
                 elem_type=ElemType.RIB,
                 time=timestamp,
@@ -300,11 +305,11 @@ class BGPStreamRecord:
                 project=self.project,
                 collector=self.collector,
             )
-        counters = profiling.counters
+        counting = metrics.enabled
         for prefix in update.all_announced:
             if lazy:
-                if counters is not None:
-                    counters.lazy_elems += 1
+                if counting:
+                    _lazy_elems.inc()
                 yield LazyBGPElem(
                     ElemType.ANNOUNCEMENT,
                     timestamp,
@@ -317,8 +322,8 @@ class BGPStreamRecord:
                     self.collector,
                 )
                 continue
-            if counters is not None:
-                counters.eager_elems += 1
+            if counting:
+                _eager_elems.inc()
             yield BGPElem(
                 elem_type=ElemType.ANNOUNCEMENT,
                 time=timestamp,

@@ -53,7 +53,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.bgp.attributes import LazyPathAttributes
 from repro.broker.broker import Broker
 from repro.core import metrics
 from repro.core.elem import BGPElem
@@ -67,7 +66,6 @@ from repro.core.interfaces import (
 )
 from repro.core.record import BGPStreamRecord, RecordStatus
 from repro.core.sorter import DEFAULT_BATCH_SIZE, SortedRecordMerger, batch_records
-from repro.mrt.records import BGP4MPMessage, RIBPrefixRecord
 
 
 class BGPStream:
@@ -75,9 +73,7 @@ class BGPStream:
 
     Attribute blocks are always recorded as zero-copy slices and decoded on
     first read (:mod:`repro.bgp.attributes`), so filtered-out elems never
-    pay for values nobody looks at.  ``eager=True`` materialises every
-    attribute set of a record just before the stream delivers it; elem
-    values and corruption signals are identical either way.
+    pay for values nobody looks at.
 
     Equal AS paths, community sets, prefixes and address strings are shared
     objects across every elem the process produces; the decode layer sees
@@ -94,7 +90,9 @@ class BGPStream:
         interning: object = True,
         live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
-        eager: Optional[bool] = None,
+        # Accepted and ignored like ``interning=``: decode is lazy, and
+        # ``ledger/live.py:90`` still passes ``eager=None``.
+        eager: object = None,
         broker: Optional[Broker] = None,
         segment_cache=None,
     ) -> None:
@@ -143,7 +141,6 @@ class BGPStream:
             raise ValueError("interface_options require a data_interface name")
         self._interface = data_interface
         self._segment_cache = segment_cache
-        self._eager = eager
         self._started = False
         self._record_iter: Optional[Iterator[BGPStreamRecord]] = None
         self._batched_consumer = False
@@ -238,14 +235,11 @@ class BGPStream:
             )
 
     def _filtered(self, records: Iterable[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
-        eager = self._eager
         for record in records:
             self.records_read += 1
             if not self._record_passes(record):
                 self.records_filtered += 1
                 continue
-            if eager:
-                _materialise_attributes(record)
             yield record
 
     def _record_passes(self, record: BGPStreamRecord) -> bool:
@@ -322,17 +316,3 @@ class BGPStream:
 
     def __iter__(self) -> Iterator[BGPStreamRecord]:
         return self.records()
-
-
-def _materialise_attributes(record: BGPStreamRecord) -> None:
-    """Force-parse the deferred path attributes of every route in ``record``."""
-    body = record.mrt.body if record.mrt is not None else None
-    if isinstance(body, RIBPrefixRecord):
-        attribute_sets = [entry.attributes for entry in body.entries]
-    elif isinstance(body, BGP4MPMessage):
-        attribute_sets = [body.update.attributes]
-    else:
-        return
-    for attrs in attribute_sets:
-        if isinstance(attrs, LazyPathAttributes):
-            attrs.materialise_all()

@@ -21,7 +21,7 @@ import sys
 import threading
 from typing import IO, List, Optional
 
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.interfaces import LiveDataInterface
 from repro.core.stream import BGPStream
 from repro.gateway.hub import StreamHub
@@ -75,19 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally serve the Prometheus /metrics exposition on a "
              "standalone scrape port (the gateway itself always serves "
              "GET /metrics on its main port once metrics are enabled); "
-             "implies enabling the telemetry registry and decode profiling",
+             "implies enabling the telemetry registry",
     )
     serving.add_argument(
         "--metrics", action="store_true",
-        help="enable the telemetry registry (and decode profiling) without "
-             "a standalone scrape port; GET /metrics on the main port "
-             "serves the exposition",
+        help="enable the telemetry registry without a standalone scrape "
+             "port; GET /metrics on the main port serves the exposition",
     )
 
     engine = parser.add_argument_group("engine")
     engine.add_argument("--decode-stats", action="store_true",
-                        help="enable decode-tier counters (served under /stats; "
-                             "printed as #-lines on exit)")
+                        help="enable the telemetry registry and print its "
+                             "decode-tier counters as #-lines on exit (/stats "
+                             "serves them while the registry is on)")
 
     resilience = parser.add_argument_group("resilience")
     resilience.add_argument(
@@ -182,34 +182,23 @@ async def _amain(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def run(args: argparse.Namespace, out: IO[str]) -> int:
-    from repro.core import metrics
-
-    metrics_on = bool(getattr(args, "metrics", False)) or (
-        getattr(args, "metrics_port", None) is not None
-    )
+    observed = args.metrics or args.metrics_port is not None or args.decode_stats
     metrics_server = None
-    if metrics_on:
-        # Decode profiling feeds the registry's decode tier, so a metrics
-        # gateway turns it on too (the counters are cheap per record).
+    if observed:
         metrics.enable()
-        profiling.enable()
+        metrics.reset_decode_counts()
         if args.metrics_port is not None:
             metrics_server = metrics.start_metrics_server(args.metrics_port)
-    if args.decode_stats:
-        profiling.enable()
     try:
         return asyncio.run(_amain(args, out))
     finally:
         if metrics_server is not None:
             metrics_server.close()
-        if metrics_on:
+        if observed:
             metrics.disable()
-            if not args.decode_stats:
-                profiling.disable()
         if args.decode_stats:
-            for line in profiling.snapshot().summary_lines():
+            for line in metrics.decode_summary_lines():
                 print(f"# {line}", file=out)
-            profiling.disable()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

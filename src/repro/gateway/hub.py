@@ -68,6 +68,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.trie import PrefixTrie
 from repro.core.elem import BGPElem
 from repro.core.filters import MATCH_ANY, MATCH_LESS, FilterSet
+from repro.core.intern import default_pool
 from repro.core.resilience import RetryPolicy, Supervisor
 from repro.core.stream import BGPStream
 from repro.utils.timeutil import Clock, SystemClock
@@ -833,6 +834,6 @@ class StreamHub:
             body["poll_wakeups"] = dict(getattr(interface, "poll_wakeups", {}))
         body["intern"] = {
             kind: counters["hits"] + counters["misses"] + counters["overflow"]
-            for kind, counters in self.stream.intern_pool.stats().items()
+            for kind, counters in default_pool().stats().items()
         }
         return body

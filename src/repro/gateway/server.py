@@ -52,7 +52,6 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import metrics
-from repro.core import profiling
 from repro.core.filters import _FILTER_NAMES, FilterSet
 from repro.gateway.hub import (
     DEFAULT_COALESCE_BUDGET,
@@ -322,11 +321,8 @@ class GatewayServer:
                 for session in list(self._sessions.values())
             },
         }
-        if profiling.counters is not None:
-            decode = profiling.snapshot()
-            stats["decode"] = {
-                name: getattr(decode, name) for name in decode.__slots__
-            }
+        if metrics.enabled:
+            stats["decode"] = metrics.decode_counts()
         writer.write(
             http_response("200 OK", protocol.dumps(stats).encode("utf-8"))
         )

@@ -32,7 +32,7 @@ import struct
 import zlib
 from typing import IO, Iterator, List, Optional, Tuple
 
-from repro.core import profiling
+from repro.core import metrics
 from repro.mrt.constants import MRT_HEADER_LEN, MRTType
 from repro.mrt.records import CorruptRecord, MRTHeader, MRTRecord, decode_record_body
 
@@ -46,6 +46,11 @@ MAX_RECORD_LEN = 64 * 1024 * 1024
 
 #: Precompiled codec for the MRT common header: timestamp, type, subtype, length.
 _HEADER_STRUCT = struct.Struct("!IHHI")
+
+# Decode-tier series, bound once; counted only while metrics are enabled.
+_records_scanned = metrics.decode_records_scanned.labels()
+_bytes_viewed = metrics.decode_bytes.labels("viewed")
+_bytes_copied = metrics.decode_bytes.labels("copied")
 
 #: Files up to this on-disk size are scanned from one in-memory buffer (one
 #: read call, zero per-record I/O); larger files use the streaming scan.
@@ -178,7 +183,7 @@ class MRTDumpReader:
     # for implausibly large files and corrupt gzip streams.
     def _iter_streaming(self, handle: IO[bytes]) -> Iterator[MRTRecord]:
         unpack = _HEADER_STRUCT.unpack
-        counters = profiling.counters
+        counting = metrics.enabled
         while True:
             try:
                 header_bytes = handle.read(MRT_HEADER_LEN)
@@ -207,9 +212,9 @@ class MRTDumpReader:
             if len(body_bytes) < body_length:
                 yield MRTRecord(header, CorruptRecord("truncated record body", body_bytes))
                 return
-            if counters is not None:
-                counters.records_scanned += 1
-                counters.bytes_copied += MRT_HEADER_LEN + body_length
+            if counting:
+                _records_scanned.inc()
+                _bytes_copied.inc(MRT_HEADER_LEN + body_length)
             body = decode_record_body(header, header.subtype, body_bytes)
             yield MRTRecord(header, body)
 
@@ -219,7 +224,7 @@ class MRTDumpReader:
         # extraction and deferred attribute slice below is a zero-copy view
         # of this one allocation.
         view = memoryview(data)
-        counters = profiling.counters
+        counting = metrics.enabled
         unpack_from = _HEADER_STRUCT.unpack_from
         size = len(data)
         offset = 0
@@ -248,9 +253,9 @@ class MRTDumpReader:
             scanned += 1
             yield MRTRecord(header, decode_record_body(header, subtype, body_view))
             offset = body_offset + body_length
-        if counters is not None:
-            counters.records_scanned += scanned
-            counters.bytes_viewed += offset
+        if counting:
+            _records_scanned.inc(scanned)
+            _bytes_viewed.inc(offset)
 
 
 def _decompress_bounded(blob: bytes, limit: int) -> Optional[bytes]:

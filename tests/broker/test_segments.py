@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.core import profiling
+from repro.core import metrics
 from repro.broker.broker import Broker
 from repro.broker.crawler import ArchiveCrawler
 from repro.broker.db import MetadataDB
@@ -113,7 +113,8 @@ class TestInvalidation:
         (filename,) = [f for f in os.listdir(cache.root) if f.endswith(".seg")]
         with open(os.path.join(cache.root, filename), "wb") as handle:
             handle.write(b"torn write garbage")
-        counters = profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         try:
             list(DumpFileReader(spec, segment_cache=cache))
             # The torn file is preserved for forensics, not deleted ...
@@ -122,10 +123,10 @@ class TestInvalidation:
             # ... its manifest row is gone, and the event is counted.
             assert cache.corrupt == 1
             assert cache.stats()["corrupt"] == 1
-            assert counters.segment_corrupt == 1
-            assert "segment files corrupt" in "\n".join(counters.summary_lines())
+            assert metrics.decode_counts()["segment_corrupt"] == 1
+            assert "segment files corrupt:    1" in metrics.decode_summary_lines()
         finally:
-            profiling.disable()
+            metrics.disable()
 
     def test_segment_of_another_layout_is_a_plain_miss(
         self, tmp_path, broker_archive, monkeypatch
@@ -208,17 +209,17 @@ class TestProfilingCounters:
     def test_decode_stats_surface_hits_and_misses(self, tmp_path, broker_archive):
         cache = SegmentCache(str(tmp_path / "cache"))
         spec = _specs_for(broker_archive)[0]
-        counters = profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         try:
             list(DumpFileReader(spec, segment_cache=cache))
-            assert counters.segment_misses == 1
-            assert counters.segment_hits == 0
+            counts = metrics.decode_counts()
+            assert (counts["segment_misses"], counts["segment_hits"]) == (1, 0)
             list(DumpFileReader(spec, segment_cache=cache))
-            assert counters.segment_hits == 1
-            lines = "\n".join(counters.summary_lines())
-            assert "segment cache hits" in lines
+            assert metrics.decode_counts()["segment_hits"] == 1
+            assert "segment cache hits:       1" in metrics.decode_summary_lines()
         finally:
-            profiling.disable()
+            metrics.disable()
 
 
 class TestResumeWithoutRedecode:

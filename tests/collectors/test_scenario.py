@@ -282,7 +282,7 @@ def test_read_path_imports_do_not_load_the_simulator(module):
 @pytest.mark.parametrize("module", ["repro.core.intern", "repro.core.metrics", "repro.bgp.aspath"])
 def test_decode_layer_imports_do_not_load_the_stream(module):
     """``repro.core``'s package init is lazy (PEP 562), so the decode layers
-    can import ``repro.core.intern`` / ``metrics`` / ``profiling`` without
+    can import ``repro.core.intern`` / ``metrics`` without
     pulling in ``stream`` — which imports them back."""
     probe = (
         f"import sys, {module}\n"

@@ -1,13 +1,12 @@
 """Lazy zero-copy decode must be observably invisible (ISSUE 6, ISSUE 12).
 
-Decode is always lazy and always interned; two references pin its
+Decode is always lazy and always interned; one reference pins its
 behaviour.  Stream level: for randomized archives and live BMP feeds, the
 elem streams of the default stream — as dataclass values, ASCII lines and
-``field_dict()`` views — must be *identical* to ``BGPStream(eager=True)``,
-which materialises every attribute set before delivery, and to the same
-stream run over the eager, pool-free ``PathAttributes.decode`` oracle
-(laziness and interning may change identity and timing, never values),
-across record-at-a-time/batched consumption and filters.  Call level: with
+``field_dict()`` views — must be *identical* to the same stream run over
+the eager, pool-free ``PathAttributes.decode`` oracle (laziness and
+interning may change identity and timing, never values), across
+record-at-a-time/batched consumption and filters.  Call level: with
 the attribute-block decoder swapped for the oracle, ``decode_update``, the
 MRT parser and the BMP scan must produce the same values, the same
 not-valid records and the same exceptions — lazy decode that returns never
@@ -37,7 +36,7 @@ from repro.bmp.messages import BMPMessage, BMPPeerHeader
 from repro.bmp.source import BMPFeedProducer, BMPKafkaDataSource
 from repro.broker.broker import Broker
 from repro.collectors.archive import Archive
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.interfaces import BrokerDataInterface, LiveDataInterface
 from repro.core.intern import InternPool, default_pool, reset_default_pool
 from repro.core.stream import BGPStream
@@ -172,18 +171,11 @@ def _attribute_sets(record):
     return []
 
 
-def _assert_materialised(record):
-    """``eager=True`` delivers records with nothing left deferred."""
-    for attrs in _attribute_sets(record):
-        assert not getattr(attrs, "deferred_types", None), record
-
-
-def _consume(archive, *, eager, batched=False, filter_spec=None):
+def _consume(archive, *, batched=False, filter_spec=None):
     """Full pass over the archive, rendered every observable way."""
     reset_default_pool()
     stream = BGPStream(
         data_interface=BrokerDataInterface(Broker(archives=[archive]), max_empty_polls=1),
-        eager=eager,
     )
     if filter_spec is not None:
         stream.add_filter(*filter_spec)
@@ -194,8 +186,6 @@ def _consume(archive, *, eager, batched=False, filter_spec=None):
         records = stream.records()
     record_lines, elems, elem_lines, field_dicts = [], [], [], []
     for record in records:
-        if eager:
-            _assert_materialised(record)
         record_lines.append(record.to_ascii())
         for elem in record.elems():
             if not stream.filters.match_elem(elem):
@@ -208,14 +198,13 @@ def _consume(archive, *, eager, batched=False, filter_spec=None):
 
 
 # ---------------------------------------------------------------------------
-# The invisibility property: default × {eager=True, oracle decode} × batched × filters
+# The invisibility property: default × oracle decode × batched × filters
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    oracle=st.booleans(),
     batched=st.booleans(),
     filter_spec=st.sampled_from(
         [
@@ -230,17 +219,14 @@ def _consume(archive, *, eager, batched=False, filter_spec=None):
         ]
     ),
 )
-def test_lazy_tier_is_observably_invisible(seed, oracle, batched, filter_spec):
+def test_lazy_tier_is_observably_invisible(seed, batched, filter_spec):
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, seed)
-        if oracle:
-            # Eager and pool-free: nothing is deferred and nothing is shared.
-            with _oracle_decode():
-                reference = _consume(archive, eager=False, filter_spec=filter_spec)
-            assert not len(default_pool())
-        else:
-            reference = _consume(archive, eager=True, filter_spec=filter_spec)
-        lazy = _consume(archive, eager=False, batched=batched, filter_spec=filter_spec)
+        # Eager and pool-free: nothing is deferred and nothing is shared.
+        with _oracle_decode():
+            reference = _consume(archive, filter_spec=filter_spec)
+        assert not len(default_pool())
+        lazy = _consume(archive, batched=batched, filter_spec=filter_spec)
         assert lazy[0] == reference[0]  # record ASCII
         assert lazy[1] == reference[1]  # elems as dataclass values
         assert lazy[2] == reference[2]  # elem + bgpdump ASCII
@@ -250,7 +236,7 @@ def test_lazy_tier_is_observably_invisible(seed, oracle, batched, filter_spec):
 
 
 def test_lazy_equivalence_under_live_bmp_feed():
-    """Live mode: the default field_dict stream equals the eager=True one."""
+    """Live mode: the default field_dict stream equals the oracle's."""
     rng = random.Random(2016)
     paths = [_random_path(rng) for _ in range(4)]
     sequence = []
@@ -265,7 +251,7 @@ def test_lazy_equivalence_under_live_bmp_feed():
         )
         sequence.append((1000 + 10 * i, f"10.9.9.{i % 3}", 65001 + i % 3, update))
 
-    def consume(eager):
+    def consume():
         reset_default_pool()
         broker = MessageBroker()
         producer = BMPFeedProducer(broker, router="rtr1")
@@ -274,22 +260,22 @@ def test_lazy_equivalence_under_live_bmp_feed():
             producer.publish(BMPMessage.route_monitoring(peer, update))
         stream = BGPStream(
             live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0},
-            eager=eager,
         )
         out = []
         deferred = 0
         for record in stream.records():
-            if eager:
-                _assert_materialised(record)
-            deferred += sum(bool(attrs.deferred_types) for attrs in _attribute_sets(record))
+            deferred += sum(
+                bool(getattr(attrs, "deferred_types", None)) for attrs in _attribute_sets(record)
+            )
             out.extend((record.time, elem.field_dict()) for elem in record.elems())
-        assert eager or deferred, "the default live path decoded nothing lazily"
-        return out
+        return out, deferred
 
-    eager_out = consume(True)
-    lazy_out = consume(False)
-    assert eager_out
-    assert lazy_out == eager_out
+    with _oracle_decode():
+        oracle_out, oracle_deferred = consume()
+    lazy_out, lazy_deferred = consume()
+    assert oracle_out and not oracle_deferred
+    assert lazy_deferred, "the default live path decoded nothing lazily"
+    assert lazy_out == oracle_out
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +354,9 @@ def test_corrupt_mrt_records_surface_identically(tmp_path):
             target = tmp_path / f"mutated-{case}.mrt"
             target.write_bytes(bytes(mutated))
 
-            def render(eager):
+            def render(oracle):
                 lines = []
-                with _oracle_decode() if eager else contextlib.nullcontext():
+                with _oracle_decode() if oracle else contextlib.nullcontext():
                     records = read_dump(str(target))
                 for record in records:
                     if record.is_valid:
@@ -381,7 +367,7 @@ def test_corrupt_mrt_records_surface_identically(tmp_path):
                         lines.append((record.body.reason, bytes(record.body.raw)))
                 return lines
 
-            assert render(eager=False) == render(eager=True), f"offset {offset}"
+            assert render(oracle=False) == render(oracle=True), f"offset {offset}"
 
 
 def test_corrupt_bmp_frames_surface_identically():
@@ -401,9 +387,9 @@ def test_corrupt_bmp_frames_surface_identically():
         for i in range(6)
     )
 
-    def render(buffer, eager):
+    def render(buffer, oracle):
         out = []
-        with _oracle_decode() if eager else contextlib.nullcontext():
+        with _oracle_decode() if oracle else contextlib.nullcontext():
             messages = scan_messages(buffer)
         for message in messages:
             if message.is_valid:
@@ -423,11 +409,11 @@ def test_corrupt_bmp_frames_surface_identically():
         mutated = bytearray(frames)
         mutated[offset] ^= 0xFF
         mutated = bytes(mutated)
-        assert render(mutated, eager=False) == render(mutated, eager=True), f"offset {offset}"
+        assert render(mutated, oracle=False) == render(mutated, oracle=True), f"offset {offset}"
     # Truncated tail parity with the incremental parser's kill reason.
     truncated = frames[: len(frames) - 3]
-    lazy_scan = render(truncated, eager=False)
-    assert lazy_scan == render(truncated, eager=True)
+    lazy_scan = render(truncated, oracle=False)
+    assert lazy_scan == render(truncated, oracle=True)
     assert lazy_scan[-1][1] == "truncated BMP message at end of stream"
 
 
@@ -479,7 +465,6 @@ def test_lazy_elems_pickle_to_plain_elems(tmp_path):
             data_interface=BrokerDataInterface(
                 Broker(archives=[archive]), max_empty_polls=1
             ),
-            eager=False,
         )
         stream.add_interval_filter(900, 2500)
         elems = [elem for record in stream.records() for elem in record.elems()]
@@ -581,13 +566,14 @@ def test_attribute_filters_agree_between_lazy_and_eager_elems():
             ("community", "65001:7"),
             ("community", "1:1"),
         ]:
-            reference = _consume(archive, eager=True, filter_spec=spec)
-            lazy = _consume(archive, eager=False, filter_spec=spec)
+            with _oracle_decode():
+                reference = _consume(archive, filter_spec=spec)
+            lazy = _consume(archive, filter_spec=spec)
             assert lazy[1] == reference[1], spec
             assert lazy[3] == reference[3], spec
         # At least one spec above must actually admit elems, or the parity
         # claim is vacuous ("." matches every non-empty path string).
-        assert _consume(archive, eager=False, filter_spec=("aspath", "."))[1]
+        assert _consume(archive, filter_spec=("aspath", "."))[1]
 
 
 def test_attribute_filters_materialise_only_past_the_prefix_gate():
@@ -602,13 +588,13 @@ def test_attribute_filters_materialise_only_past_the_prefix_gate():
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 21)
         reset_default_pool()
-        profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         try:
             stream = BGPStream(
                 data_interface=BrokerDataInterface(
                     Broker(archives=[archive]), max_empty_polls=1
                 ),
-                eager=False,
             )
             stream.add_interval_filter(900, 2500)
             stream.add_filter("prefix-exact", "192.0.2.0/24")  # matches no elem
@@ -619,40 +605,39 @@ def test_attribute_filters_materialise_only_past_the_prefix_gate():
                 for elem in record.elems()
                 if stream.filters.match_elem(elem)
             ]
-            stats = profiling.snapshot()
         finally:
-            profiling.disable()
+            metrics.disable()
+        counts = metrics.decode_counts()
         assert not matched
-        assert stats.lazy_elems > 0
-        assert stats.elems_materialised == 0
+        assert counts["lazy_elems"] > 0
+        assert counts["elems_materialised"] == 0
 
 
 def test_decode_stats_counters_report_the_deferral():
     with tempfile.TemporaryDirectory() as root:
         archive = _build_archive(root, 9)
         reset_default_pool()
-        profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         try:
             stream = BGPStream(
                 data_interface=BrokerDataInterface(
                     Broker(archives=[archive]), max_empty_polls=1
                 ),
-                eager=False,
             )
             stream.add_interval_filter(900, 2500)
             for record in stream.records():
                 for _ in record.elems():
                     break  # touch at most one elem per record
-            stats = profiling.snapshot()
-            assert stats.records_scanned > 0
-            assert stats.attr_blocks_deferred > 0
-            assert stats.bytes_viewed > 0
-            assert stats.lazy_elems > 0
-            lines = "\n".join(stats.summary_lines())
-            assert "attr blocks deferred" in lines
         finally:
-            profiling.disable()
-        assert profiling.counters is None
+            metrics.disable()
+        counts = metrics.decode_counts()
+        assert counts["records_scanned"] > 0
+        assert counts["attr_blocks_deferred"] > 0
+        assert counts["bytes_viewed"] > 0
+        assert counts["lazy_elems"] > 0
+        lines = "\n".join(metrics.decode_summary_lines())
+        assert "attr blocks deferred" in lines
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,32 @@ class TestBGPReaderCLI:
             "self", "data_interface", "live", "interface_options",
         ]
 
+    def test_eager_keyword_is_an_inert_shim(self, core_archive):
+        """``BGPStream(eager=)`` survives only for the frozen ledger
+        (``ledger/live.py:90``): ``eager=True`` materialises nothing early
+        and changes no elem."""
+        from repro.core import stream as stream_module
+
+        def consume(**options):
+            stream = stream_module.BGPStream(
+                data_interface=BrokerDataInterface(
+                    Broker(archives=[core_archive]), max_empty_polls=1
+                ),
+                **options,
+            )
+            lines, deferred = [], 0
+            for record in stream.records():
+                update = getattr(record.mrt.body if record.mrt else None, "update", None)
+                attrs = getattr(update, "attributes", None)
+                deferred += bool(getattr(attrs, "deferred_types", None))
+                lines.extend(elem.to_ascii() for elem in record.elems())
+            return lines, deferred
+
+        plain = consume()
+        assert plain[0] and plain[1]
+        assert consume(eager=True) == plain
+        assert not hasattr(stream_module, "_materialise_attributes")
+
     def test_requires_exactly_one_source(self):
         parser = build_parser()
         args = parser.parse_args([])

@@ -19,7 +19,7 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.bmp import BMPFeedProducer, BMPMessage, BMPPeerHeader
-from repro.core import profiling
+from repro.core import metrics
 from repro.core.elem import BGPElem, ElemType
 from repro.core.filters import FilterSet
 from repro.core.interfaces import LiveDataInterface
@@ -126,15 +126,15 @@ class TestFanOut:
         hub = live_hub(messages)
         for _ in range(50):
             hub.subscribe(FilterSet())
-        profiling.enable()
+        metrics.enable()
+        metrics.reset_decode_counts()
         try:
             hub.run()
-            stats = profiling.snapshot()
         finally:
-            profiling.disable()
+            metrics.disable()
         source = hub.stream._interface.source
         assert source.frames_decoded == len(messages)  # once, not 50×
-        assert stats.bmp_frames_scanned == len(messages)
+        assert metrics.decode_counts()["bmp_frames_scanned"] == len(messages)
         assert hub.elems_seen == len(messages)
         assert hub.elems_delivered == 50 * len(messages)
         assert hub.stats()["frames_decoded"] == len(messages)

@@ -18,7 +18,9 @@ import socket
 import threading
 import time
 
-from repro.core import profiling
+from repro.core import metrics
+from repro.core.filters import FilterSet
+from repro.core.intern import default_pool, reset_default_pool
 from repro.core.elem import BGPElem, ElemType
 from repro.gateway import cli
 from repro.gateway.protocol import (
@@ -274,18 +276,38 @@ class TestHTTPSurface:
         messages, _ = striped_feed(seconds=4, nets=("10.1",))
         hub = live_hub(messages)
         hub.run()  # feed fully decoded before the probe
-        profiling.enable()
+        metrics.enable()
         try:
             response = self.request(hub, b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
         finally:
-            profiling.disable()
+            metrics.disable()
         body = json.loads(response.split(b"\r\n\r\n", 1)[1])
         assert body["frames_decoded"] == len(messages)
         assert body["poll_wakeups"] == {"data": 0, "timeout": 0}
         assert body["records_seen"] == len(messages)
         assert body["finished"] is True
-        assert "decode" in body  # profiling counters ride along when enabled
+        assert "decode" in body  # decode counters ride along when enabled
         assert "intern" in body
+
+    def test_stats_intern_counts_are_the_pools(self):
+        """A subscriber that reads its elems interns their AS paths; /stats
+        reports the pool's own tallies, not a copy only bgpreader made."""
+        messages, _ = striped_feed(seconds=4, nets=("10.1",))
+        reset_default_pool()
+        metrics.enable()
+        try:
+            hub = live_hub(messages)
+            subscriber = hub.subscribe(FilterSet().add("prefix", "10.1.0.0/16"))
+            hub.run()
+            assert [window.payload() for window in subscriber.drain()]
+            response = self.request(hub, b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+        finally:
+            metrics.disable()
+        decode = json.loads(response.split(b"\r\n\r\n", 1)[1])["decode"]
+        pool = default_pool().stats().values()
+        probes = sum(stats["hits"] + stats["misses"] for stats in pool)
+        assert probes > 0
+        assert decode["intern_hits"] + decode["intern_misses"] == probes
 
 
 class TestBackpressureEndToEnd:
@@ -446,7 +468,7 @@ class TestCLI:
             if line.startswith("data: ")
         ]
         assert window_prefixes(events) == expect["10.1"]
-        # --decode-stats prints the profiling summary on exit.
+        # --decode-stats prints the decode tally on exit.
         assert any(line.startswith("# ") and "frames" in line for line in out.getvalue().splitlines())
 
 

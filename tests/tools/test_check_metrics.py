@@ -37,6 +37,31 @@ class TestCheckRegistry:
         assert "metric families ok" in result.stdout
 
 
+class TestCatalogChecks:
+    def test_undocumented_family_flagged(self):
+        from repro.core.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("documented_total", "Listed.")
+        registry.counter("undocumented_total", "Not listed.")
+        problems = check_metrics.check_catalog(registry, "| `documented_total` | counter |")
+        assert len(problems) == 1
+        assert "undocumented_total" in problems[0]
+
+    def test_unregistered_decode_stats_family_flagged(self):
+        from repro.core.metrics import DECODE_STATS_SERIES, MetricsRegistry
+
+        registry = MetricsRegistry()
+        assert check_metrics.check_decode_stats(registry, DECODE_STATS_SERIES)
+        for name in {name for name, _labels in DECODE_STATS_SERIES.values()}:
+            registry.counter(name, "Present.")
+        assert check_metrics.check_decode_stats(registry, DECODE_STATS_SERIES) == []
+        series = dict(DECODE_STATS_SERIES, typo=("repro_decode_recods_total", ()))
+        problems = check_metrics.check_decode_stats(registry, series)
+        assert len(problems) == 1
+        assert "repro_decode_recods_total" in problems[0]
+
+
 class TestExpositionParser:
     def test_clean_exposition_passes(self):
         text = (

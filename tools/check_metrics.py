@@ -10,7 +10,10 @@ walks the default registry and fails on:
 * counters whose name lacks the conventional ``_total`` suffix;
 * histograms whose bucket bounds are not strictly increasing;
 * a registry that renders an invalid text exposition (smoke-parse of
-  HELP/TYPE/sample lines).
+  HELP/TYPE/sample lines);
+* a family missing from the catalog in ``docs/OBSERVABILITY.md``;
+* a family the ``--decode-stats`` / ``/stats`` rendering reads
+  (``metrics.DECODE_STATS_SERIES``) that nothing registered.
 
 Run from the repo root::
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
+from pathlib import Path
 
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -28,10 +32,17 @@ SAMPLE_LINE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (?:[0-9.eE+-]+|\+Inf|-Inf|NaN)$"
 )
 
+#: The metric catalog every registered family must appear in.
+CATALOG = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+
 #: Importing these pulls in every instrumented tier, so the registry holds
 #: the full metric catalog by the time we walk it.
 INSTRUMENTED_MODULES = (
     "repro.core.metrics",
+    "repro.mrt.parser",
+    "repro.bmp.codec",
+    "repro.bgp.attributes",
+    "repro.core.record",
     "repro.core.resilience",
     "repro.core.interfaces",
     "repro.core.sorter",
@@ -76,7 +87,29 @@ def check_registry() -> list:
             if sorted(uppers) != uppers or len(set(uppers)) != len(uppers):
                 problems.append(f"histogram {name!r} buckets are not strictly increasing")
     problems.extend(check_exposition(metrics.exposition()))
+    registry = metrics.default_registry()
+    problems.extend(check_catalog(registry, CATALOG.read_text(encoding="utf-8")))
+    problems.extend(check_decode_stats(registry, metrics.DECODE_STATS_SERIES))
     return problems
+
+
+def check_catalog(registry, catalog: str) -> list:
+    """Families whose name does not appear (in backticks) in the catalog."""
+    return [
+        f"metric {metric.name!r} is missing from docs/OBSERVABILITY.md"
+        for metric in registry.metrics()
+        if f"`{metric.name}`" not in catalog
+    ]
+
+
+def check_decode_stats(registry, series: dict) -> list:
+    """Families the ``--decode-stats`` rendering reads that are not registered."""
+    names = sorted({name for name, _labels in series.values()})
+    return [
+        f"--decode-stats reads {name!r}, which no instrumented tier registers"
+        for name in names
+        if registry.get(name) is None
+    ]
 
 
 def check_exposition(text: str) -> list:
