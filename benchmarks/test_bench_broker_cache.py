@@ -2,7 +2,7 @@
 
 The broker tier's segment cache persists each dump file's decoded records
 as a columnar pickle segment keyed by the file's content signature.
-Replaying a multi-collector window through ``BGPStream(broker=...)`` with a
+Replaying a multi-collector window from the broker with a
 warm cache skips MRT wire decode entirely — the claim benchmarked here is
 that the warm replay beats a cold decode of the same window by at least
 ``SPEEDUP_FLOOR``x while yielding identical record *and* elem sequences.
@@ -35,6 +35,7 @@ from repro.bgp.prefix import Prefix
 from repro.broker.broker import Broker
 from repro.broker.segments import SegmentCache
 from repro.collectors.archive import Archive
+from repro.core.interfaces import BrokerDataInterface
 from repro.core.stream import BGPStream
 from repro.mrt.records import BGP4MPMessage
 from repro.mrt.writer import write_updates_dump
@@ -94,7 +95,7 @@ def heavy_archive(tmp_path_factory):
 
 def _stream(archive, segment_cache):
     stream = BGPStream(
-        broker=Broker(archives=[archive]),
+        data_interface=BrokerDataInterface(Broker(archives=[archive])),
         segment_cache=segment_cache,
     )
     stream.add_interval_filter(DUMP_START, DUMP_START + UPDATES_PER_COLLECTOR + 10)

@@ -25,8 +25,7 @@ classic well-behaved-crawler discipline:
 The transport is injectable: :class:`LocalBrokerTransport` calls a
 :class:`~repro.broker.broker.Broker` in-process (the default); a real
 deployment would drop in an HTTP transport with the same two methods, and
-tests wrap transports with fault injectors
-(:func:`repro.core.resilience.inject_faults`).
+tests wrap transports with a fault-injecting proxy.
 """
 
 from __future__ import annotations

@@ -255,6 +255,18 @@ class FilterSet:
                     return True
         return False
 
+    @property
+    def has_elem_terms(self) -> bool:
+        """True when :meth:`match_elem` can reject an elem."""
+        return bool(
+            self.elem_types
+            or self.peer_asns
+            or self.prefix_filters
+            or self.origin_asns
+            or self.aspath_patterns
+            or self.communities
+        )
+
     def match_elem(self, elem: BGPElem) -> bool:
         """Elem-level (content) matching.
 

@@ -312,9 +312,7 @@ def _print_stream(args: argparse.Namespace, stream: BGPStream, out: IO[str]) -> 
             continue
         if args.show_records:
             print(record.to_ascii(), file=out)
-        for elem in record.elems():
-            if not stream.filters.match_elem(elem):
-                continue
+        for elem in record.filtered_elems():
             line = elem.to_bgpdump_ascii() if args.bgpdump_format else elem.to_ascii()
             print(line, file=out)
             printed += 1

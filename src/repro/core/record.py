@@ -9,14 +9,16 @@ users can collate the records of a single RIB dump.
 
 ``elems()`` decomposes the record into :class:`~repro.core.elem.BGPElem`
 objects; RIB records need the dump's PEER_INDEX_TABLE to resolve peer
-indexes, which the dump-file reader passes in as context.
+indexes, which the dump-file reader passes in as context.  The stream that
+delivers a record attaches its elem filter, and ``filtered_elems()`` and
+the ``get_next_elem()`` cursor yield only the elems that pass it (§3.3.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from repro.bgp.attributes import LazyPathAttributes
 from repro.core import metrics
@@ -28,6 +30,9 @@ from repro.mrt.records import (
     PeerIndexTable,
     RIBPrefixRecord,
 )
+
+if TYPE_CHECKING:
+    from repro.core.filters import FilterSet
 
 
 # Decode-tier series, bound once; counted only while metrics are enabled.
@@ -177,10 +182,15 @@ class BGPStreamRecord:
     _elem_iter: Optional[Iterator[BGPElem]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The elem filter of the stream that delivered this record, or ``None``
+    #: when that stream has no elem-level terms (set on every delivery).
+    _elem_filter: Optional["FilterSet"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __getstate__(self) -> Tuple:
-        # The elem cursor (a generator) does not travel across process
-        # boundaries; everything else does.
+        # The elem cursor (a generator) and the delivering stream's filter
+        # do not travel across process boundaries; everything else does.
         return (
             self.project,
             self.collector,
@@ -206,6 +216,7 @@ class BGPStreamRecord:
             self.router,
         ) = state
         self._elem_iter = None
+        self._elem_filter = None
 
     @property
     def time(self) -> int:
@@ -234,10 +245,21 @@ class BGPStreamRecord:
         elif isinstance(body, BGP4MPStateChange):
             yield self._state_elem(body)
 
+    def filtered_elems(self) -> Iterator[BGPElem]:
+        """The elems that pass the delivering stream's elem filters.
+
+        All of :meth:`elems` when the stream has no elem-level terms (or
+        the record was not delivered by a stream).
+        """
+        elem_filter = self._elem_filter
+        if elem_filter is None:
+            return self.elems()
+        return filter(elem_filter.match_elem, self.elems())
+
     def get_next_elem(self) -> Optional[BGPElem]:
-        """C-API-style cursor over elems (used by the PyBGPStream facade)."""
+        """C-API-style cursor over :meth:`filtered_elems` (Listing 1)."""
         if self._elem_iter is None:
-            self._elem_iter = self.elems()
+            self._elem_iter = self.filtered_elems()
         try:
             return next(self._elem_iter)
         except StopIteration:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import time
 from itertools import count
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core import metrics
 from repro.core.interfaces import DumpFileSpec
@@ -29,9 +29,6 @@ from repro.core.record import BGPStreamRecord, DumpPosition, RecordStatus
 from repro.mrt.parser import MRTDumpReader, MRTParseError, file_signature
 from repro.mrt.records import PeerIndexTable
 from repro.utils.intervals import TimeInterval, group_overlapping
-
-#: Default number of records per batch for the batched APIs.
-DEFAULT_BATCH_SIZE = 1024
 
 
 class DumpFileReader:
@@ -210,26 +207,6 @@ class SortedRecordMerger:
 
     def subset_sizes(self) -> List[int]:
         return [len(subset) for subset in self.subsets()]
-
-
-def batch_records(
-    records: Iterable[BGPStreamRecord], batch_size: int
-) -> Iterator[List[BGPStreamRecord]]:
-    """Group a record iterable into lists of up to ``batch_size``.
-
-    The single accumulate-and-flush loop behind every batched API: the
-    trailing partial batch is always flushed.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    batch: List[BGPStreamRecord] = []
-    for record in records:
-        batch.append(record)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 def merge_record_iterators(

@@ -5,7 +5,7 @@ filters plus a time interval) and a reading phase (iteratively requesting
 records).  Setting the interval end to ``None`` (or ``-1``) turns the same
 code into a live monitoring process.
 
-Three idioms are supported:
+Two idioms read the same record cursor, and may be mixed on one stream:
 
 * the C-API style of the paper's listings::
 
@@ -22,25 +22,17 @@ Three idioms are supported:
 * plain Python iteration::
 
       for rec in stream.records():
-          for elem in rec.elems():
+          for elem in rec.filtered_elems():
               ...
 
-  (or ``stream.elems()`` to iterate matching elems directly).
+  (or ``stream.elems()`` to iterate ``(record, elem)`` pairs directly).
 
-* batched iteration, which delivers timestamp-ordered *lists* of records and
-  amortises per-record overhead for bin-oriented consumers such as
-  :class:`~repro.corsaro.pipeline.BGPCorsaro`::
+As in §3.3.1, the elem-level filters (elem type, prefix, peer ASN, origin
+ASN, AS path, community) apply as elems are pulled from a record: through
+``rec.get_next_elem()``, ``rec.filtered_elems()`` and ``stream.elems()``.
+``rec.elems()`` is the record's unfiltered decomposition.
 
-      stream = BGPStream(data_interface=interface)
-      stream.add_interval_filter(t0, t1)
-      for batch in stream.records_batched(batch_size=1024):
-          for rec in batch:
-              ...
-
-  Flattening the batches gives exactly the record sequence of
-  ``records()``.
-
-All three idioms also run in **live mode**: with a live data interface
+Both idioms also run in **live mode**: with a live data interface
 (``BGPStream(live={"broker": message_broker})``, or
 ``data_interface="kafka"``) the records come off a BMP-over-Kafka feed
 (:mod:`repro.bmp`) instead of dump files, flow through the same filter
@@ -51,21 +43,19 @@ live window so bin-oriented consumers terminate deterministically.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from repro.broker.broker import Broker
 from repro.core import metrics
 from repro.core.elem import BGPElem
 from repro.core.filters import FilterSet
 from repro.core.intern import InternPool, default_pool
 from repro.core.interfaces import (
-    BrokerDataInterface,
     DataInterface,
     LiveDataInterface,
     make_data_interface,
 )
 from repro.core.record import BGPStreamRecord, RecordStatus
-from repro.core.sorter import DEFAULT_BATCH_SIZE, SortedRecordMerger, batch_records
+from repro.core.sorter import SortedRecordMerger
 
 
 class BGPStream:
@@ -93,7 +83,6 @@ class BGPStream:
         # Accepted and ignored like ``interning=``: decode is lazy, and
         # ``ledger/live.py:90`` still passes ``eager=None``.
         eager: object = None,
-        broker: Optional[Broker] = None,
         segment_cache=None,
     ) -> None:
         """``data_interface`` accepts an instance or a registry name
@@ -105,22 +94,11 @@ class BGPStream:
         options (broker, topics, poll bounds, ...) and the stream reads the
         near-realtime feed instead of dump files.
 
-        ``broker`` is the Broker shortcut: ``BGPStream(broker=broker)``
-        wraps it in a :class:`~repro.core.interfaces.BrokerDataInterface`
-        (``interface_options`` become its options — ``page_size``,
-        ``cursor``, poll bounds); the stream is otherwise the one
-        ``data_interface=BrokerDataInterface(broker)`` builds.
-
         ``segment_cache`` (a :class:`repro.broker.segments.SegmentCache`)
         makes every dump-file reader this stream opens replay decoded
         segments of unchanged dump files from disk instead of re-decoding
         MRT, and persist newly decoded files for the next run."""
         self.filters = filters or FilterSet()
-        if broker is not None:
-            if data_interface is not None or live is not None:
-                raise ValueError("pass either broker= or data_interface/live, not both")
-            data_interface = BrokerDataInterface(broker, **(interface_options or {}))
-            interface_options = None
         if data_interface is not None and live is not None:
             raise ValueError("pass either data_interface or live, not both")
         if live is not None:
@@ -143,7 +121,9 @@ class BGPStream:
         self._segment_cache = segment_cache
         self._started = False
         self._record_iter: Optional[Iterator[BGPStreamRecord]] = None
-        self._batched_consumer = False
+        #: What ``start()`` decides elems are matched with: ``self.filters``,
+        #: or ``None`` when it has no elem-level terms.
+        self._elem_filter: Optional[FilterSet] = None
         #: Counters useful for benchmarks and sanity checks.
         self.records_read = 0
         self.records_filtered = 0
@@ -192,7 +172,12 @@ class BGPStream:
     # -- reading ---------------------------------------------------------------------
 
     def start(self) -> "BGPStream":
-        """Freeze the configuration and begin producing the stream."""
+        """Freeze the configuration and begin producing the stream.
+
+        The elem filter every delivered record carries is decided here,
+        once: the stream's filters, or none when they have no elem-level
+        terms (then ``get_next_elem()`` never calls ``match_elem``).
+        """
         if self._interface is None:
             raise RuntimeError(
                 "no data interface configured; pass one to BGPStream() or "
@@ -201,6 +186,8 @@ class BGPStream:
         if self._started:
             return self
         self._started = True
+        if self.filters.has_elem_terms:
+            self._elem_filter = self.filters
         return self
 
     def stop(self) -> None:
@@ -218,9 +205,7 @@ class BGPStream:
         """One filtered, time-sorted record iterator per live poll or per
         meta-data window of dump files.
 
-        :meth:`records` chains these and :meth:`records_batched` re-batches
-        each one on its own, so a live consumer never waits on a half-full
-        batch while the feed is quiet.
+        :meth:`records` chains these into the stream's one record cursor.
         """
         interface = self._interface
         assert interface is not None
@@ -235,11 +220,15 @@ class BGPStream:
             )
 
     def _filtered(self, records: Iterable[BGPStreamRecord]) -> Iterator[BGPStreamRecord]:
+        # Every delivered record passes here, so this is where it learns
+        # which elems its consumer may see.
+        elem_filter = self._elem_filter
         for record in records:
             self.records_read += 1
             if not self._record_passes(record):
                 self.records_filtered += 1
                 continue
+            record._elem_filter = elem_filter
             yield record
 
     def _record_passes(self, record: BGPStreamRecord) -> bool:
@@ -251,51 +240,21 @@ class BGPStream:
 
     def get_next_record(self) -> Optional[BGPStreamRecord]:
         """Return the next record, or ``None`` when the stream has ended."""
-        if self._batched_consumer:
-            raise RuntimeError(
-                "get_next_record()/records() cannot be mixed with records_batched() "
-                "on the same stream"
-            )
-        if not self._started:
-            self.start()
+        return next(self.records(), None)
+
+    def records(self) -> Iterator[BGPStreamRecord]:
+        """The stream's record cursor: the iterator :meth:`get_next_record`
+        advances, so the two may be mixed and each record comes once.
+
+        Starts the stream if needed (and so raises here, not on the first
+        ``next()``, when no data interface is configured).
+        """
         if self._record_iter is None:
+            self.start()
             # chain() flattens the windows in C: no generator frame of this
             # module sits between a window's filter loop and the consumer.
             self._record_iter = chain.from_iterable(self._windows())
-        return next(self._record_iter, None)
-
-    def records(self) -> Iterator[BGPStreamRecord]:
-        """Iterate all (filter-matching) records of the stream."""
-        while True:
-            record = self.get_next_record()
-            if record is None:
-                return
-            yield record
-
-    def records_batched(
-        self, batch_size: Optional[int] = None
-    ) -> Iterator[List[BGPStreamRecord]]:
-        """Iterate the stream as timestamp-ordered record batches.
-
-        Flattening the batches reproduces :meth:`records` record for record
-        (same order, same statuses); batch boundaries carry no meaning.  Use
-        either this or the record-at-a-time API on a given stream, not both.
-        """
-        if not self._started:
-            self.start()
-        if self._record_iter is not None or self._batched_consumer:
-            raise RuntimeError(
-                "records_batched() cannot be mixed with get_next_record()/records() "
-                "or called twice on the same stream"
-            )
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
-        elif batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batched_consumer = True
-        return chain.from_iterable(
-            batch_records(window, batch_size) for window in self._windows()
-        )
+        return self._record_iter
 
     def elems(self) -> Iterator[Tuple[BGPStreamRecord, BGPElem]]:
         """Iterate ``(record, elem)`` pairs matching the elem-level filters."""
@@ -304,15 +263,12 @@ class BGPStream:
                 # One ``filter`` span per record: extraction + match_elem
                 # over the record's elems (the consumer's time is outside).
                 with metrics.trace_span("filter"):
-                    matched = [
-                        elem for elem in record.elems() if self.filters.match_elem(elem)
-                    ]
+                    matched = list(record.filtered_elems())
                 for elem in matched:
                     yield record, elem
             else:
-                for elem in record.elems():
-                    if self.filters.match_elem(elem):
-                        yield record, elem
+                for elem in record.filtered_elems():
+                    yield record, elem
 
     def __iter__(self) -> Iterator[BGPStreamRecord]:
         return self.records()

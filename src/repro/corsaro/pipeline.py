@@ -28,26 +28,25 @@ class BinOutput:
 
 
 class BGPCorsaro:
-    """Run a plugin pipeline over a stream with a fixed bin size."""
+    """Run a plugin pipeline over a stream with a fixed bin size.
+
+    Plugins see the stream's filtered elems: the elems of each record that
+    pass the stream's elem-level filters (``record.filtered_elems()``), so
+    a ``prefix-exact`` or ``peer-asn`` filter reaches them exactly as it
+    reaches ``stream.elems()``.
+    """
 
     def __init__(
         self,
         stream: BGPStream,
         plugins: Sequence[Plugin],
         bin_size: int = 300,
-        batch_size: Optional[int] = None,
     ) -> None:
-        """``batch_size`` switches the driver to consuming the stream through
-        ``BGPStream.records_batched()``; the plugins see the exact same
-        record sequence and bin boundaries."""
         if bin_size <= 0:
             raise ValueError("bin_size must be positive")
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.stream = stream
         self.plugins = list(plugins)
         self.bin_size = bin_size
-        self.batch_size = batch_size
         self.outputs: List[BinOutput] = []
         self.records_processed = 0
         self.invalid_records = 0
@@ -61,17 +60,9 @@ class BGPCorsaro:
             pass
         return self.outputs
 
-    def _record_source(self) -> Iterator:
-        """Records either one at a time or flattened from engine batches."""
-        if self.batch_size is not None:
-            for batch in self.stream.records_batched(self.batch_size):
-                yield from batch
-        else:
-            yield from self.stream.records()
-
     def process(self) -> Iterator[BinOutput]:
         """Incremental driver: yields outputs as bins close (live friendly)."""
-        for record in self._record_source():
+        for record in self.stream.records():
             self.records_processed += 1
             if record.status != RecordStatus.VALID:
                 self.invalid_records += 1
@@ -79,7 +70,7 @@ class BGPCorsaro:
                 # need to react to corrupted dumps (E1/E3).
                 tagged = TaggedRecord(record=record, elems=[])
             else:
-                tagged = TaggedRecord(record=record, elems=list(record.elems()))
+                tagged = TaggedRecord(record=record, elems=list(record.filtered_elems()))
 
             record_bin = bin_start(record.time, self.bin_size)
             if self._current_bin is None:

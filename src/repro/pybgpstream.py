@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.core.elem import BGPElem as _CoreElem
-from repro.core.filters import FilterSet
 from repro.core.interfaces import DataInterface, LiveDataInterface
 from repro.core.record import BGPStreamRecord as _CoreRecord
 from repro.core.stream import BGPStream as _CoreStream
@@ -85,12 +84,6 @@ class BGPRecord:
 
     def __init__(self) -> None:
         self._record: Optional[_CoreRecord] = None
-        self._filters: Optional[FilterSet] = None
-
-    def _fill(self, record: _CoreRecord, filters: FilterSet) -> None:
-        self._record = record
-        self._filters = filters
-        self._elem_iter = record.elems()
 
     # -- attributes mirroring the C structure ---------------------------------
 
@@ -126,10 +119,8 @@ class BGPRecord:
         """The next elem of this record matching the stream filters, or None."""
         if self._record is None:
             return None
-        for elem in self._elem_iter:
-            if self._filters is None or self._filters.match_elem(elem):
-                return BGPElem(elem)
-        return None
+        elem = self._record.get_next_elem()
+        return None if elem is None else BGPElem(elem)
 
 
 class BGPStream:
@@ -195,7 +186,7 @@ class BGPStream:
         core_record = self._stream.get_next_record()
         if core_record is None:
             return False
-        record._fill(core_record, self._stream.filters)
+        record._record = core_record
         return True
 
     # Convenience: expose the underlying pythonic stream too.

@@ -535,15 +535,18 @@ class TestBoundedWindows:
         assert window_times(0, 1000, max_empty_polls=None) == []
         assert window_times(1001, 3000, max_empty_polls=1) == [2000, 2001, 2002, 2003]
 
-    def test_batched_api_works_live(self):
+    def test_mixed_record_apis_work_live(self):
         def feed():
             broker = MessageBroker()
             publish_sequence(broker, update_sequence())
             return live_stream(broker)
 
-        records = [r for batch in feed().records_batched(2) for r in batch]
+        stream = feed()
+        records = [stream.get_next_record()]
+        records.extend(r for _, r in zip(range(2), stream.records()))
+        records.extend(iter(stream.get_next_record, None))
         assert [r.time for r in records] == [1000, 1010, 1020, 1030]
-        # Flattened batches are the records() stream, record for record.
+        # Mixing the two APIs delivers the records() stream, record for record.
         assert [r.to_ascii() for r in records] == [r.to_ascii() for r in feed().records()]
 
     def test_corrupt_frame_surfaces_as_invalid_record(self):

@@ -11,7 +11,7 @@ from repro.broker.broker import Broker
 from repro.broker.crawler import ArchiveCrawler
 from repro.broker.db import MetadataDB
 from repro.broker.segments import SegmentCache
-from repro.core.interfaces import DumpFileSpec
+from repro.core.interfaces import BrokerDataInterface, DumpFileSpec
 from repro.core.sorter import DumpFileReader
 from repro.core.stream import BGPStream
 
@@ -252,7 +252,7 @@ class TestResumeWithoutRedecode:
 
         # Replay (and cache) what the partial index already knows about.
         broker = Broker(db=db)
-        partial = BGPStream(broker=broker, segment_cache=cache)
+        partial = BGPStream(data_interface=BrokerDataInterface(broker), segment_cache=cache)
         partial.add_interval_filter(start, end)
         partial_records = sum(1 for _ in partial.records())
         assert partial_records > 0
@@ -267,7 +267,7 @@ class TestResumeWithoutRedecode:
         assert db2.count() == len(broker_archive.entries())  # nothing lost
 
         broker2 = Broker(db=db2)
-        full = BGPStream(broker=broker2, segment_cache=cache)
+        full = BGPStream(data_interface=BrokerDataInterface(broker2), segment_cache=cache)
         full.add_interval_filter(start, end)
         full_count = sum(1 for _ in full.records())
         assert full_count >= partial_records
@@ -277,6 +277,6 @@ class TestResumeWithoutRedecode:
         assert stats["hits"] >= stored_before
         # ...and only the files the resumed crawl added were decoded anew.
         assert stats["stores"] == db2.count()
-        baseline = BGPStream(broker=Broker(db=db2))
+        baseline = BGPStream(data_interface=BrokerDataInterface(Broker(db=db2)))
         baseline.add_interval_filter(start, end)
         assert full_count == sum(1 for _ in baseline.records())

@@ -32,7 +32,7 @@ from repro.broker.broker import Broker, BrokerQuery
 from repro.broker.client import BrokerClient, BrokerRequestError, LocalBrokerTransport
 from repro.broker.db import DumpFileRecord, MetadataDB
 from repro.core.interfaces import LiveDataInterface
-from repro.core.resilience import FaultPlan, RetryPolicy, inject_faults
+from repro.core.resilience import RetryPolicy
 from repro.core.stream import BGPStream
 from repro.gateway.hub import StreamHub
 from repro.gateway.server import GatewayServer
@@ -40,6 +40,7 @@ from repro.kafka.broker import MessageBroker
 from repro.utils.timeutil import SimulatedClock
 
 from test_hub import BASE_TS, delivered, make_update, publish_feed, striped_feed
+from tests.fault_injection import FaultPlan, inject_faults
 
 TOPIC = "openbmp.bmp_raw"
 TIMEOUT = 30  # generous outer bound; everything real finishes in seconds

@@ -1,4 +1,4 @@
-"""Integration tests: paginated broker interface, BGPStream(broker=...),
+"""Integration tests: paginated broker interface, broker replay,
 segment-cached replay, and the bgpreader cache/cursor flags."""
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from repro.core.reader import build_parser, run
 from repro.core.stream import BGPStream
 
 
+def _key(r):
+    return (r.time, r.project, r.collector, r.dump_type, r.status, r.dump_position)
+
+
 def _signature(stream):
-    return [
-        (r.time, r.project, r.collector, r.dump_type, r.status, r.dump_position)
-        for r in stream.records()
-    ]
+    return [_key(r) for r in stream.records()]
 
 
 class TestPaginatedInterface:
@@ -53,24 +54,19 @@ class TestPaginatedInterface:
         assert not {s.path for s in first} & rest_paths
 
 
-class TestBrokerShortcut:
-    def test_broker_kwarg_excludes_other_interfaces(self, core_archive):
-        with pytest.raises(ValueError):
-            BGPStream(broker=Broker(archives=[core_archive]), data_interface="csvfile")
-
+class TestBrokerReplay:
     def test_broker_replay_matches_sequential_reference(self, core_archive, core_scenario):
         reference = BGPStream(
             data_interface=BrokerDataInterface(Broker(archives=[core_archive]))
         )
         reference.add_interval_filter(core_scenario.start, core_scenario.end)
-        fast = BGPStream(broker=Broker(archives=[core_archive]))
-        fast.add_interval_filter(core_scenario.start, core_scenario.end)
-        flat = [
-            (r.time, r.project, r.collector, r.dump_type, r.status, r.dump_position)
-            for batch in fast.records_batched()
-            for r in batch
-        ]
-        assert flat == _signature(reference)
+        expected = [_key(r) for r in iter(reference.get_next_record, None)]
+        replay = BGPStream(
+            data_interface="broker",
+            interface_options={"broker": Broker(archives=[core_archive])},
+        )
+        replay.add_interval_filter(core_scenario.start, core_scenario.end)
+        assert _signature(replay) == expected
 
 
 class TestSegmentCachedStream:
@@ -79,7 +75,7 @@ class TestSegmentCachedStream:
 
         def replay():
             stream = BGPStream(
-                broker=Broker(archives=[core_archive]),
+                data_interface=BrokerDataInterface(Broker(archives=[core_archive])),
                 segment_cache=cache,
             )
             stream.add_interval_filter(core_scenario.start, core_scenario.end)

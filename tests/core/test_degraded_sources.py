@@ -1,10 +1,11 @@
-"""Degraded dump sources surfaced end-to-end, record by record and batched.
+"""Degraded dump sources surfaced end-to-end, through every record API.
 
 The paper's error-checking extension (§3.3.3) requires that unreadable,
 empty and corrupted dumps are *signalled* to the user rather than silently
 dropped or fatally raised.  These tests drive all three degradations through
 the full :class:`repro.core.stream.BGPStream` facade and the PyBGPStream
-Listing-1 idiom, through ``records()`` and ``records_batched()``.
+Listing-1 idiom, through ``records()``, ``get_next_record()`` and the two
+mixed on one stream.
 """
 
 from __future__ import annotations
@@ -94,23 +95,25 @@ def test_all_degradations_surface_through_the_stream(degraded_csv):
         assert all(list(r.elems()) == [] for r in by_status[status])
 
 
-def test_records_batched_surfaces_degradations(degraded_csv):
+def test_mixed_record_apis_surface_degradations(degraded_csv):
     def key(record):
         return (record.time, record.collector, str(record.status), str(record.dump_position))
 
     stream = BGPStream(data_interface=CSVFileDataInterface(degraded_csv))
-    batches = list(stream.records_batched(batch_size=3))
-    assert all(len(batch) <= 3 for batch in batches)
-    statuses = {r.status for batch in batches for r in batch}
-    assert statuses == {
+    delivered = []
+    while (record := stream.get_next_record()) is not None:
+        delivered.append(record)
+        delivered.extend(r for _, r in zip(range(2), stream.records()))
+    assert {r.status for r in delivered} == {
         RecordStatus.VALID,
         RecordStatus.CORRUPTED_SOURCE,
         RecordStatus.EMPTY_SOURCE,
         RecordStatus.CORRUPTED_RECORD,
     }
-    # ...and the batched API delivers them exactly where records() does.
+    # ...and mixing the APIs delivers them exactly where records() does.
     reference = BGPStream(data_interface=CSVFileDataInterface(degraded_csv)).records()
-    assert [key(r) for batch in batches for r in batch] == [key(r) for r in reference]
+    assert [key(r) for r in delivered] == [key(r) for r in reference]
+    assert stream.records_read == len(delivered)
 
 
 def test_listing1_idiom_sees_degraded_statuses(degraded_csv):

@@ -18,14 +18,13 @@ from repro.core.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    FaultPlan,
-    InjectedFault,
     RetryPolicy,
     Supervisor,
     TransientError,
-    inject_faults,
 )
 from repro.utils.timeutil import SimulatedClock
+
+from tests.fault_injection import FaultPlan, InjectedFault, inject_faults
 
 
 class TestRetryPolicy:

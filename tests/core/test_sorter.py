@@ -17,7 +17,7 @@ from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.core.interfaces import CSVFileDataInterface, DumpFileSpec
 from repro.core.record import DumpPosition, RecordStatus
-from repro.core.sorter import DumpFileReader, SortedRecordMerger, batch_records
+from repro.core.sorter import DumpFileReader, SortedRecordMerger
 from repro.core.stream import BGPStream
 from repro.mrt.parser import MRTDumpReader
 from repro.mrt.records import BGP4MPMessage
@@ -233,19 +233,6 @@ class TestMergeProperties:
         empties = sum(1 for r in merged if r.status == RecordStatus.EMPTY_SOURCE)
         assert empties == empty_files
         assert len(merged) == len(written) + empty_files
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_batched_path_matches_sequential(self, tmp_path, seed):
-        rng = random.Random(1000 + seed)
-        specs, _ = _random_file_set(rng, tmp_path)
-        reference = [_record_key(r) for r in SortedRecordMerger(specs)]
-
-        batch_size = rng.choice([1, 2, 7, 64])
-        batches = list(batch_records(SortedRecordMerger(specs), batch_size))
-        assert [_record_key(r) for batch in batches for r in batch] == reference
-        # Full batches, then one flushed partial batch (never an empty one).
-        assert all(len(batch) == batch_size for batch in batches[:-1])
-        assert 0 < len(batches[-1]) <= batch_size
 
 
 class TestFlatMemory:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import pickle
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.broker.broker import Broker
 from repro.broker.db import MetadataDB
 from repro.collectors.archive import Archive
 from repro.core.elem import ElemType
+from repro.core.filters import FilterSet
 from repro.core.interfaces import (
     BrokerDataInterface,
     CSVFileDataInterface,
@@ -43,39 +45,130 @@ class TestStreamConfiguration:
         assert stream.get_next_record() is not None
 
 
-class TestBatchedConsumption:
-    def test_batched_flattens_to_the_sequential_stream(self, core_archive, core_scenario):
-        reference = [
-            (r.time, r.collector, str(r.status))
-            for r in make_stream(core_archive, core_scenario.start, core_scenario.end).records()
-        ]
+def _record_key(record):
+    return (record.time, record.collector, str(record.status), str(record.dump_position))
+
+
+def _first_announced_prefix(core_archive, core_scenario) -> str:
+    stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+    for _, elem in stream.elems():
+        if elem.elem_type == ElemType.ANNOUNCEMENT:
+            return str(elem.prefix)
+    raise AssertionError("scenario has no announcements")
+
+
+class TestOneRecordCursor:
+    """``records()`` is the iterator ``get_next_record()`` advances."""
+
+    def test_records_match_the_sequential_reference(self, core_archive, core_scenario):
+        reference_stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        reference = [_record_key(r) for r in iter(reference_stream.get_next_record, None)]
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        flattened = [
-            (r.time, r.collector, str(r.status))
-            for batch in stream.records_batched(batch_size=37)
-            for r in batch
-        ]
-        assert flattened == reference
+        assert [_record_key(r) for r in stream.records()] == reference
         assert stream.records_read == len(reference) + stream.records_filtered
 
-    def test_batched_rejects_nonpositive_batch_size(self, core_archive, core_scenario):
+    def test_records_is_the_cursor(self, core_archive, core_scenario):
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        with pytest.raises(ValueError):
-            stream.records_batched(batch_size=0)
+        assert stream.records() is stream.records()
+        assert iter(stream) is stream.records()
 
-    def test_batched_and_record_apis_cannot_be_mixed(self, core_archive, core_scenario):
+    def test_interleaving_the_two_apis_yields_one_sequence(self, core_archive, core_scenario):
+        # A sub-interval, so the meta-data filter drops some records too.
+        start = core_scenario.start + 1800
+        end = core_scenario.start + 5400
+        reference = [_record_key(r) for r in make_stream(core_archive, start, end).records()]
+        stream = make_stream(core_archive, start, end)
+        delivered = []
+        records = stream.records()
+        while True:
+            record = stream.get_next_record()
+            if record is None:
+                break
+            delivered.append(_record_key(record))
+            for count, record in enumerate(stream.records()):
+                delivered.append(_record_key(record))
+                if count == 2:
+                    break
+            record = next(records, None)
+            if record is not None:
+                delivered.append(_record_key(record))
+        assert delivered == reference
+        assert stream.records_filtered > 0
+        assert stream.records_read == len(delivered) + stream.records_filtered
+
+    def test_records_without_interface_raises_on_the_call(self):
+        with pytest.raises(RuntimeError):
+            BGPStream().records()
+
+
+class TestElemFilterHome:
+    """Elem filters apply wherever elems are pulled from a delivered record."""
+
+    def test_listing1_cursor_yields_the_filtered_elems(self, core_archive, core_scenario):
+        prefix = _first_announced_prefix(core_archive, core_scenario)
+        twin = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        twin.add_filter("prefix-exact", prefix)
+        expected = [elem for _, elem in twin.elems()]
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        batches = stream.records_batched(batch_size=8)
-        next(batches)
-        with pytest.raises(RuntimeError):
-            stream.get_next_record()
-        with pytest.raises(RuntimeError):
-            stream.records_batched()
-        # ...and the other direction.
+        stream.add_filter("prefix-exact", prefix)
+        stream.start()
+        seen = []
+        while (rec := stream.get_next_record()) is not None:
+            elem = rec.get_next_elem()
+            while elem:
+                seen.append(elem)
+                elem = rec.get_next_elem()
+        assert expected
+        assert seen == expected
+        assert {str(elem.prefix) for elem in seen} == {prefix}
+
+    def test_filtered_elems_is_the_stream_filter_and_elems_stays_whole(
+        self, core_archive, core_scenario
+    ):
+        vp_asn = core_scenario.collectors[0].vps[0].asn
         stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
-        stream.get_next_record()
-        with pytest.raises(RuntimeError):
-            stream.records_batched()
+        stream.add_filter("peer-asn", str(vp_asn))
+        whole = filtered = 0
+        for record in stream.records():
+            elems = list(record.elems())
+            kept = list(record.filtered_elems())
+            assert kept == [e for e in elems if stream.filters.match_elem(e)]
+            whole += len(elems)
+            filtered += len(kept)
+        assert 0 < filtered < whole
+
+    def test_no_elem_terms_means_no_match_elem_calls(
+        self, core_archive, core_scenario, monkeypatch
+    ):
+        calls = []
+        original = FilterSet.match_elem
+
+        def counting(self, elem):
+            calls.append(elem)
+            return original(self, elem)
+
+        monkeypatch.setattr(FilterSet, "match_elem", counting)
+        stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        stream.add_filter("record-type", "updates")
+        assert sum(1 for _ in stream.elems()) > 0
+        assert calls == []
+        stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        stream.add_filter("elem-type", "announcements")
+        assert sum(1 for _ in stream.elems()) > 0
+        assert calls
+
+    def test_the_filter_link_is_not_pickled(self, core_archive, core_scenario):
+        vp_asn = core_scenario.collectors[0].vps[0].asn
+        stream = make_stream(core_archive, core_scenario.start, core_scenario.end)
+        stream.add_filter("peer-asn", str(vp_asn))
+        record = next(
+            r
+            for r in stream.records()
+            if 0 < len(list(r.filtered_elems())) < len(list(r.elems()))
+        )
+        assert len(record.__getstate__()) == 9
+        clone = pickle.loads(pickle.dumps(record))
+        assert list(clone.filtered_elems()) == list(clone.elems()) == list(record.elems())
 
 
 class TestHistoricalStream:

@@ -70,33 +70,34 @@ class TestPipelineDriver:
         assert plugin.finished
         assert corsaro.records_processed > 0
 
-    def test_batch_size_must_be_positive(self, corsaro_archive, corsaro_scenario):
-        stream = make_corsaro_stream(
-            corsaro_archive, corsaro_scenario.start, corsaro_scenario.end
-        )
-        with pytest.raises(ValueError):
-            BGPCorsaro(stream, [], batch_size=0)
-
-    def test_batched_pipeline_matches_record_at_a_time(
-        self, corsaro_archive, corsaro_scenario
+    @pytest.mark.parametrize("filter_name", ["prefix-exact", "peer-asn"])
+    def test_plugins_see_the_stream_filtered_elems(
+        self, corsaro_archive, corsaro_scenario, filter_name
     ):
-        """Consuming through ``records_batched()`` changes no bin boundary or output."""
+        """StatsPlugin counts exactly the elems ``stream.elems()`` yields."""
 
-        def outputs(batch_size):
-            stream = make_corsaro_stream(
+        def stream(*filters):
+            built = make_corsaro_stream(
                 corsaro_archive, corsaro_scenario.start, corsaro_scenario.end
             )
-            stats = StatsPlugin()
-            corsaro = BGPCorsaro(stream, [stats], bin_size=900, batch_size=batch_size)
-            corsaro.run()
-            return [
-                (o.plugin, o.interval_start, o.value.records, o.value.elems)
-                for o in corsaro.outputs_for("stats")
-            ], corsaro.records_processed
+            for name, value in filters:
+                built.add_filter(name, value)
+            return built
 
-        reference = outputs(None)
-        assert reference[1] > 0
-        assert outputs(64) == reference
+        if filter_name == "peer-asn":
+            value = str(corsaro_scenario.collectors[0].vps[0].asn)
+        else:
+            value = next(
+                str(elem.prefix) for _, elem in stream().elems() if elem.prefix is not None
+            )
+        expected = sum(1 for _ in stream((filter_name, value)).elems())
+        unfiltered = sum(1 for _ in stream().elems())
+        assert 0 < expected < unfiltered
+
+        stats = StatsPlugin()
+        corsaro = BGPCorsaro(stream((filter_name, value)), [stats], bin_size=900)
+        corsaro.run()
+        assert sum(v.elems for v in corsaro.series_for("stats").values()) == expected
 
     def test_outputs_collected_per_plugin(self, corsaro_archive, corsaro_scenario):
         stream = make_corsaro_stream(

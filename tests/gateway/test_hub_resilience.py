@@ -17,13 +17,14 @@ from repro.bmp import BMPFeedProducer
 from repro.bmp.source import BMPKafkaDataSource
 from repro.core.filters import FilterSet
 from repro.core.interfaces import LiveDataInterface
-from repro.core.resilience import FaultPlan, RetryPolicy, inject_faults
+from repro.core.resilience import RetryPolicy
 from repro.core.stream import BGPStream
 from repro.gateway.hub import StreamHub, Subscriber
 from repro.kafka.broker import MessageBroker
 from repro.utils.timeutil import SimulatedClock
 
 from test_hub import BASE_TS, delivered, make_update, publish_feed, striped_feed
+from tests.fault_injection import FaultPlan, inject_faults
 
 TOPIC = "openbmp.bmp_raw"
 
