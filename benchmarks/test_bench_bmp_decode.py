@@ -124,7 +124,7 @@ def test_bmp_codec_decode_throughput(benchmark, bmp_wire):
 
 def _live_elems(broker):
     stream = BGPStream(
-        live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0}
+        data_interface=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
     )
     return [elem.to_ascii() for _, elem in stream.elems()]
 

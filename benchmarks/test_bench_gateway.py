@@ -81,7 +81,7 @@ def build_hub():
             producer.publish(BMPMessage.route_monitoring(peer, update))
             frame += 1
     stream = BGPStream(
-        live=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
+        data_interface=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
     )
     hub = StreamHub(stream)
     fast = [

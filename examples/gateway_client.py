@@ -135,7 +135,7 @@ async def ws_client(port: int) -> None:
 
 async def main() -> None:
     stream = BGPStream(
-        live=LiveDataInterface(
+        data_interface=LiveDataInterface(
             broker=build_feed(), max_empty_polls=20, poll_interval=0.01
         )
     )

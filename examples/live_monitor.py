@@ -4,8 +4,8 @@
 The live half of the paper's pitch: instead of replaying dump files, a
 BGPCorsaro pipeline consumes a near-realtime BMP feed à la OpenBMP — routers
 publish RFC 7854 BMP messages onto a Kafka topic keyed by router, and
-`BGPStream(live=...)` turns them into the exact record/elem model of the
-historical path.
+`BGPStream(data_interface=LiveDataInterface(...))` turns them into the
+exact record/elem model of the historical path.
 
 The script simulates one monitored router: a peer session comes up,
 announces its table (the Peer Up RIB-in snapshot), a hijacker AS starts
@@ -27,6 +27,7 @@ from repro.bgp.message import BGPOpen, BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.bmp import BMPFeedProducer, BMPMessage, BMPPeerHeader
 from repro.core import BGPStream
+from repro.core.interfaces import LiveDataInterface
 from repro.corsaro import BGPCorsaro
 from repro.corsaro.plugins import PrefixMonitorPlugin
 from repro.kafka.broker import MessageBroker
@@ -89,7 +90,9 @@ def main() -> None:
     broker = MessageBroker()
     simulate_feed(broker)
 
-    stream = BGPStream(live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0})
+    stream = BGPStream(
+        data_interface=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
+    )
     stream.add_interval_filter(T0, T0 + 3000)  # until_ts: bins close deterministically
 
     monitor = PrefixMonitorPlugin([Prefix.from_string(VICTIM_PREFIX)])

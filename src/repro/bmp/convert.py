@@ -29,7 +29,6 @@ from typing import Dict, List, Set, Tuple
 from repro.bgp.fsm import SessionState
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
-from repro.bmp.constants import BMPMessageType
 from repro.bmp.messages import (
     BMPMessage,
     BMPPeerHeader,

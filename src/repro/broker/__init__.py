@@ -13,10 +13,10 @@ The production metadata tier around that core:
 * :class:`~repro.broker.crawler.ArchiveCrawler` — scrapes an
   :class:`~repro.collectors.archive.Archive` into the index; resumable
   incremental crawls via persisted high-water marks.
-* :class:`~repro.broker.broker.Broker` — the query service used by
-  libBGPStream's broker data interface; cursor-paginated responses.
-* :class:`~repro.broker.client.BrokerClient` — the polite paginated client
-  (throttling, retry with backoff, resumable cursors).
+* :class:`~repro.broker.broker.Broker` — the query service; its one client
+  is libBGPStream's broker data interface
+  (:class:`~repro.core.interfaces.BrokerDataInterface`), which pulls
+  windows, cursor-paginated on request, only when the stream wants more.
 * :class:`~repro.broker.segments.SegmentCache` — the persistent
   decoded-segment cache that lets warm replays skip MRT decoding.
 """
@@ -24,7 +24,6 @@ The production metadata tier around that core:
 from repro.broker.db import CrawlState, DumpFileRecord, MetadataDB
 from repro.broker.crawler import ArchiveCrawler
 from repro.broker.broker import Broker, BrokerQuery, BrokerResponse
-from repro.broker.client import BrokerClient, BrokerRequestError, LocalBrokerTransport
 from repro.broker.cursor import CursorError, decode_cursor, encode_cursor
 from repro.broker.segments import SegmentCache
 
@@ -36,9 +35,6 @@ __all__ = [
     "Broker",
     "BrokerQuery",
     "BrokerResponse",
-    "BrokerClient",
-    "BrokerRequestError",
-    "LocalBrokerTransport",
     "CursorError",
     "decode_cursor",
     "encode_cursor",

@@ -15,27 +15,33 @@ exposes exactly that contract:
 
 Production metadata-tier features:
 
-* **cursor pagination** — both :meth:`Broker.get_window` and
-  :meth:`Broker.get_new_files_page` accept a ``page_size`` (bounded by
-  :data:`MAX_PAGE_SIZE`) and return an opaque ``next_cursor``
-  (:mod:`repro.broker.cursor`).  Pages follow a stable keyset order
-  (``(timestamp, id)`` for windows, ``(available_at, id)`` for publication
-  queries), so pagination never repeats or skips files even while the
-  crawler keeps appending rows — and a cursor alone is enough to resume:
-  ``get_window(query, cursor=response.next_cursor)``.
+* **cursor pagination** — :meth:`Broker.get_window` accepts a
+  ``page_size`` (bounded by :data:`MAX_PAGE_SIZE`) and returns an opaque
+  ``next_cursor`` (:mod:`repro.broker.cursor`).  Pages follow the stable
+  keyset order ``(timestamp, id)``, so pagination never repeats or skips
+  files even while the crawler keeps appending rows — and a cursor alone
+  is enough to resume: ``get_window(query, cursor=response.next_cursor)``.
 * **incremental crawling** — the Broker crawls its archives on demand
   before answering; with the resumable crawler
   (:mod:`repro.broker.crawler`) each crawl costs O(new files).
 
-The polite, retrying client for this API is
-:class:`repro.broker.client.BrokerClient`.
+The Broker's one client is the broker data interface
+(:class:`repro.core.interfaces.BrokerDataInterface`): historical streams
+call :meth:`Broker.get_window`, live ones :meth:`Broker.get_new_files`.
+Both calls are counted and timed in the metrics registry
+(``repro_broker_requests_total`` / ``repro_broker_request_latency_seconds``
+by ``method``) while ``repro.core.metrics.enabled``.  A failing call
+propagates to the stream's reader: there is no retry layer.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core import metrics
 from repro.broker.crawler import ArchiveCrawler
 from repro.broker.cursor import CursorError, decode_cursor, encode_cursor, query_fingerprint
 from repro.broker.db import DumpFileRecord, MetadataDB
@@ -45,9 +51,39 @@ from repro.collectors.archive import Archive
 #: the paper notes broker responses cover up to ~2 hours of data.
 DEFAULT_WINDOW_SPAN = 2 * 3600
 
-#: Default and hard maximum number of files per paginated response.
-DEFAULT_PAGE_SIZE = 500
+#: Hard maximum number of files per paginated response.
 MAX_PAGE_SIZE = 2000
+
+#: Telemetry (see docs/OBSERVABILITY.md).  Updated only when
+#: ``repro.core.metrics.enabled`` — one global load per request otherwise.
+_requests = metrics.counter(
+    "repro_broker_requests_total",
+    "Broker queries served, by query method (failed ones included).",
+    labelnames=("method",),
+)
+_request_latency = metrics.histogram(
+    "repro_broker_request_latency_seconds",
+    "Broker query wall-clock latency by query method (crawl included).",
+    labelnames=("method",),
+)
+
+
+def _metered(query_fn):
+    """Count and time each call of a Broker query method by its name."""
+    method = query_fn.__name__
+
+    @functools.wraps(query_fn)
+    def metered(*args, **kwargs):
+        if not metrics.enabled:
+            return query_fn(*args, **kwargs)
+        started = time.perf_counter()
+        try:
+            return query_fn(*args, **kwargs)
+        finally:
+            _requests.inc(method=method)
+            _request_latency.observe(time.perf_counter() - started, method=method)
+
+    return metered
 
 
 @dataclass(frozen=True)
@@ -114,6 +150,7 @@ class Broker:
 
     # -- the query API ----------------------------------------------------------
 
+    @_metered
     def get_window(
         self,
         query: BrokerQuery,
@@ -193,7 +230,6 @@ class Broker:
                 interval_start=window_start,
                 interval_end=window_end,
                 visible_at=visible_at,
-                order="time",
                 after=fetch_after,
                 limit=fetch_limit,
             )
@@ -242,6 +278,7 @@ class Broker:
             next_cursor=next_cursor,
         )
 
+    @_metered
     def get_new_files(
         self,
         query: BrokerQuery,
@@ -271,67 +308,6 @@ class Broker:
         if published_after is not None:
             files = [f for f in files if f.available_at > published_after]
         return files
-
-    def get_new_files_page(
-        self,
-        query: BrokerQuery,
-        published_after: Optional[float] = None,
-        now: Optional[float] = None,
-        cursor: Optional[str] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> BrokerResponse:
-        """Paginated :meth:`get_new_files`: publication-ordered keyset pages.
-
-        Pages are ordered by ``(available_at, id)`` — publication order —
-        so a live client can persist the ``next_cursor`` instead of a
-        wall-clock watermark and never re-fetch files across restarts, even
-        when publications arrive out of nominal-time order.  The cursor is
-        a durable watermark: it is returned whenever the page has files
-        (``more_data`` says whether more are ready *right now*), and a
-        caught-up client keeps polling with the same cursor until new
-        publications appear.
-        """
-        self.queries_served += 1
-        self.crawler.crawl(now=now)
-        fingerprint = query.fingerprint()
-        after: Optional[Tuple[float, int]] = None
-        if cursor is not None:
-            payload = decode_cursor(cursor, fingerprint)
-            if "pub" not in payload:
-                raise CursorError("not a publication cursor")
-            after = (payload["pub"], payload["id"])
-        if page_size <= 0:
-            raise ValueError("page_size must be positive")
-        limit = min(page_size, MAX_PAGE_SIZE)
-        files = self.db.query_page(
-            projects=list(query.projects) or None,
-            collectors=list(query.collectors) or None,
-            dump_types=list(query.dump_types) or None,
-            interval_start=query.interval_start,
-            interval_end=None,
-            visible_at=now,
-            order="published",
-            after=after,
-            limit=limit + 1,
-        )
-        if published_after is not None:
-            files = [f for f in files if f.available_at > published_after]
-        page_full = len(files) > limit
-        if page_full:
-            files = files[:limit]
-        next_cursor = None
-        if files:
-            tail = files[-1]
-            next_cursor = encode_cursor(
-                {"pub": tail.available_at, "id": tail.file_id}, fingerprint
-            )
-        return BrokerResponse(
-            files=files,
-            window_start=query.interval_start,
-            window_end=query.interval_start,
-            more_data=page_full,
-            next_cursor=next_cursor,
-        )
 
     def iter_windows(
         self,

@@ -8,9 +8,8 @@ publication time — without requiring a database server.
 Production-tier features on top of the plain index:
 
 * **keyset pagination** (:meth:`MetadataDB.query_page`): rows are served in
-  a stable total order — ``(timestamp, id)`` for time-ordered catalog
-  queries, ``(available_at, id)`` for publication-ordered live queries —
-  and a page resumes strictly *after* the previous page's last sort key.
+  the stable total order ``(timestamp, id)``, and a page resumes strictly
+  *after* the previous page's last sort key.
   Because ``id`` is an append-only autoincrement, concurrent archive growth
   never shifts, repeats or skips rows in an in-flight pagination.
 * **crawl state** (:meth:`get_crawl_state` / :meth:`apply_crawl_batch`):
@@ -269,34 +268,25 @@ class MetadataDB:
         interval_start: Optional[int] = None,
         interval_end: Optional[int] = None,
         visible_at: Optional[float] = None,
-        order: str = "time",
         after: Optional[Tuple[float, int]] = None,
         limit: Optional[int] = None,
     ) -> List[DumpFileRecord]:
-        """One keyset page of :meth:`query` results in a stable total order.
+        """One keyset page of :meth:`query` results, ordered by ``(timestamp, id)``.
 
-        ``order`` selects the sort key: ``"time"`` pages by ``(timestamp,
-        id)`` (catalog/window queries), ``"published"`` by ``(available_at,
-        id)`` (live "what appeared since my last poll" queries).  ``after``
-        is the last sort key of the previous page — rows at or before it are
-        excluded, which is what keeps pagination stable while the crawler
-        keeps appending rows.  ``limit`` bounds the page (None = no bound).
+        ``after`` is the last ``(timestamp, id)`` of the previous page —
+        rows at or before it are excluded, which is what keeps pagination
+        stable while the crawler keeps appending rows.  ``limit`` bounds
+        the page (None = no bound).
         """
-        if order == "time":
-            key, tie = "timestamp", "id"
-        elif order == "published":
-            key, tie = "available_at", "id"
-        else:
-            raise ValueError(f"unknown page order {order!r}")
         clauses, params = self._filter_clauses(
             projects, collectors, dump_types, interval_start, interval_end, visible_at
         )
         if after is not None:
-            after_key, after_id = after
-            clauses.append(f"({key} > ? OR ({key} = ? AND {tie} > ?))")
-            params.extend([after_key, after_key, after_id])
+            after_ts, after_id = after
+            clauses.append("(timestamp > ? OR (timestamp = ? AND id > ?))")
+            params.extend([after_ts, after_ts, after_id])
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
-        sql = f"SELECT {_ROW_COLUMNS} FROM dump_files {where} ORDER BY {key}, {tie}"
+        sql = f"SELECT {_ROW_COLUMNS} FROM dump_files {where} ORDER BY timestamp, id"
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))

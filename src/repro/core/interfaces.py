@@ -45,6 +45,7 @@ _poll_wakeups = metrics.counter(
 if TYPE_CHECKING:
     from repro.bmp.convert import BMPRecordConverter
     from repro.bmp.source import BMPKafkaDataSource
+    from repro.core.resilience import RetryPolicy
     from repro.kafka.broker import MessageBroker
 
 
@@ -311,13 +312,12 @@ class LiveDataInterface(DataInterface):
     Resilience: a ``retry_policy``
     (:class:`~repro.core.resilience.RetryPolicy`) retries polls that raise
     transient errors (:class:`~repro.core.resilience.TransientError` or
-    :class:`ConnectionError`) with backoff on the injected clock, and an
-    optional ``circuit_breaker`` fails polls fast during a hard feed
-    outage.  Retries happen *between* polls, and a poll commits its
-    consumer offsets only on success — so a failed poll delivers nothing
-    and re-delivers nothing: the retry path can never duplicate or lose a
-    message.  A non-transient error (or retry exhaustion) propagates to
-    the stream owner — in the gateway that is the hub's supervisor.
+    :class:`ConnectionError`) with backoff on the injected clock.  Retries
+    happen *between* polls, and a poll commits its consumer offsets only
+    on success — so a failed poll delivers nothing and re-delivers
+    nothing: the retry path can never duplicate or lose a message.  A
+    non-transient error (or retry exhaustion) propagates to the stream
+    owner — in the gateway that is the hub's supervisor.
     """
 
     #: Marks interfaces whose batches are records, not dump-file specs.
@@ -338,7 +338,6 @@ class LiveDataInterface(DataInterface):
         track_state: Optional[bool] = None,
         converter: Optional["BMPRecordConverter"] = None,
         retry_policy: Optional["RetryPolicy"] = None,
-        circuit_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
         # Imported lazily: repro.bmp depends on repro.core and this module
         # is part of the repro.core package init.
@@ -374,7 +373,6 @@ class LiveDataInterface(DataInterface):
         #: Cap on Kafka messages per poll (None = drain everything).
         self.max_poll_messages = max_poll_messages
         self.retry_policy = retry_policy
-        self.circuit_breaker = circuit_breaker
         #: Polls that had to be retried (transient feed failures absorbed).
         self.poll_retries = 0
         #: Idle waits so far, by what ended them (``/stats`` shows these).
@@ -484,7 +482,7 @@ class LiveDataInterface(DataInterface):
                 return
 
     def _poll(self, until_ts: Optional[int] = None):
-        """One source poll, run through the breaker and retry policy.
+        """One source poll, through the retry policy when there is one.
 
         Offsets commit inside a *successful* poll only, so a retried poll
         neither loses nor re-delivers messages — at-most-once per attempt,
@@ -499,22 +497,15 @@ class LiveDataInterface(DataInterface):
             def call():
                 return self.source.poll(self.max_poll_messages)
 
-        guarded = call
-        if self.circuit_breaker is not None:
-            breaker = self.circuit_breaker
-
-            def guarded():
-                return breaker.call(call)
-
-        if self.retry_policy is None:
-            with metrics.trace_span("poll"):
-                return guarded()
-
-        def count_retry(_attempt: int, _exc: BaseException, _delay: float) -> None:
-            self.poll_retries += 1
-
         with metrics.trace_span("poll"):
-            return self.retry_policy.run(guarded, clock=self.clock, on_retry=count_retry)
+            if self.retry_policy is None:
+                return call()
+            return self.retry_policy.run(
+                call, clock=self.clock, on_retry=self._count_retry
+            )
+
+    def _count_retry(self, _attempt: int, _exc: BaseException, _delay: float) -> None:
+        self.poll_retries += 1
 
     def _source_accepts_until_ts(self) -> bool:
         try:
@@ -581,11 +572,6 @@ _INTERFACE_REGISTRY: Dict[str, Callable[..., DataInterface]] = {
     "kafka": LiveDataInterface,
     "bmp": LiveDataInterface,  # alias: the kafka interface carries BMP frames
 }
-
-
-def register_data_interface(name: str, factory: Callable[..., DataInterface]) -> None:
-    """Register (or replace) a named data-interface factory."""
-    _INTERFACE_REGISTRY[name] = factory
 
 
 def data_interface_names() -> List[str]:

@@ -1,7 +1,7 @@
 """The unified telemetry registry (PR 10).
 
-One stdlib-only module every tier imports directly (MRT/BMP decode, broker
-client, segment cache, Kafka source, resilience primitives, gateway hub)::
+One stdlib-only module every tier imports directly (MRT/BMP decode, broker,
+segment cache, Kafka source, resilience primitives, gateway hub)::
 
     from repro.core import metrics
 

@@ -1,25 +1,16 @@
-"""The shared resilience toolkit: retries, breakers, supervision.
+"""The shared resilience toolkit: retries and supervision.
 
 A continuous live monitor cannot afford the failure modes of a batch job:
-one transient Kafka hiccup must not kill a bridge thread, a flapping broker
-must not be hammered in a tight loop, and a crash must surface as an
-explicit, bounded event — never as a silent clean-looking end-of-stream.
-This module is the one place those disciplines live; every tier (broker
-client, Kafka poll path, gateway hub) builds on the same four primitives
-instead of hand-rolling its own:
+one transient Kafka hiccup must not kill a bridge thread, and a crash must
+surface as an explicit, bounded event — never as a silent clean-looking
+end-of-stream.  This module is the one place those disciplines live; the
+live Kafka poll path and the gateway hub build on the same two primitives
+instead of hand-rolling their own:
 
 * :class:`RetryPolicy` — capped exponential backoff with optional seeded
   jitter.  Pure configuration plus a ``run()`` driver that sleeps on an
   injected :class:`~repro.utils.timeutil.Clock`, so tests replay the exact
   schedule on a :class:`~repro.utils.timeutil.SimulatedClock` at full speed.
-* :class:`CircuitBreaker` — classic closed → open → half-open breaker.
-  After ``failure_threshold`` consecutive failures the circuit opens and
-  calls fail fast with :class:`CircuitOpenError` (no load on a struggling
-  dependency); after ``reset_timeout`` a limited number of half-open probes
-  decide whether to close it again.
-* :class:`Deadline` — an absolute time budget.  ``RetryPolicy.run`` accepts
-  one so a retried operation gives up when the budget is spent rather than
-  after a fixed attempt count.
 * :class:`Supervisor` — a restart loop for crash-prone long-running
   callables (the gateway bridge thread): restart budget, backoff between
   restarts, crash counters, and an ``on_crash`` hook where the owner
@@ -39,27 +30,12 @@ from repro.core import metrics
 from repro.utils.timeutil import Clock, SystemClock
 
 #: Telemetry (see docs/OBSERVABILITY.md).  The resilience tier is exactly
-#: the machinery an operator most needs to see working — retries, breaker
-#: trips, supervised restarts — so every primitive reports here when
+#: the machinery an operator most needs to see working — retries and
+#: supervised restarts — so both primitives report here when
 #: ``repro.core.metrics.enabled`` (one global load per event otherwise).
 _retry_attempts = metrics.counter(
     "repro_resilience_retry_attempts_total",
     "Retries performed by RetryPolicy.run across every call site.",
-)
-_breaker_transitions = metrics.counter(
-    "repro_resilience_breaker_transitions_total",
-    "Circuit-breaker state transitions, labeled by the state entered.",
-    labelnames=("state",),
-)
-_breaker_state = metrics.gauge(
-    "repro_resilience_breaker_state",
-    "Current circuit-breaker state per breaker "
-    "(0 = closed, 1 = half-open, 2 = open).",
-    labelnames=("breaker",),
-)
-_breaker_rejections = metrics.counter(
-    "repro_resilience_breaker_rejections_total",
-    "Calls failed fast because a circuit breaker was open.",
 )
 _supervisor_events = metrics.counter(
     "repro_resilience_supervisor_events_total",
@@ -67,16 +43,9 @@ _supervisor_events = metrics.counter(
     labelnames=("event",),
 )
 
-#: Numeric encoding for the breaker-state gauge.
-_BREAKER_STATE_CODE = {"closed": 0, "half-open": 1, "open": 2}
-
 __all__ = [
     "TransientError",
     "RetryPolicy",
-    "CircuitOpenError",
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "Deadline",
     "Supervisor",
 ]
 
@@ -90,44 +59,6 @@ class TransientError(Exception):
     """
 
 
-class DeadlineExceeded(Exception):
-    """An operation ran out of its :class:`Deadline` budget."""
-
-
-class Deadline:
-    """An absolute time budget measured on an injected clock.
-
-    ``Deadline(5.0, clock=clock)`` expires five clock-seconds after
-    construction; :meth:`check` raises :class:`DeadlineExceeded` once it
-    has.  Pass one to :meth:`RetryPolicy.run` to bound a whole retried
-    operation rather than each attempt.
-    """
-
-    __slots__ = ("clock", "expires_at")
-
-    def __init__(self, seconds: float, clock: Optional[Clock] = None) -> None:
-        if seconds < 0:
-            raise ValueError("a deadline cannot lie in the past")
-        self.clock = clock or SystemClock()
-        self.expires_at = self.clock.now() + seconds
-
-    def remaining(self) -> float:
-        """Seconds left before expiry (never negative)."""
-        return max(0.0, self.expires_at - self.clock.now())
-
-    @property
-    def expired(self) -> bool:
-        return self.clock.now() >= self.expires_at
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceeded` if the budget is spent."""
-        if self.expired:
-            raise DeadlineExceeded(f"{what} exceeded its deadline")
-
-    def __repr__(self) -> str:
-        return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
 class RetryPolicy:
     """Capped exponential backoff with optional seeded jitter.
 
@@ -139,8 +70,8 @@ class RetryPolicy:
 
     The policy itself never sleeps; :meth:`run` drives the loop and sleeps
     on the clock the call site injects.  This is the one backoff
-    implementation in the tree: :class:`~repro.broker.client.BrokerClient`,
-    the live Kafka poll path and the gateway supervisor all delegate here.
+    implementation in the tree: the live Kafka poll path and the gateway
+    supervisor both delegate here.
     """
 
     __slots__ = ("max_retries", "base", "cap", "jitter", "_rng")
@@ -183,15 +114,12 @@ class RetryPolicy:
         clock: Optional[Clock] = None,
         retry_on: Tuple[Type[BaseException], ...] = (TransientError, ConnectionError),
         on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-        deadline: Optional[Deadline] = None,
     ):
-        """Call ``fn`` until it succeeds, the budget or deadline runs out.
+        """Call ``fn`` until it succeeds or the retry budget runs out.
 
         Only ``retry_on`` exceptions are retried; anything else propagates
         immediately.  ``on_retry(attempt, exc, delay)`` fires before each
-        backoff sleep (call sites hang their counters on it).  With a
-        ``deadline``, the last error propagates as soon as the budget is
-        spent, even if attempts remain.
+        backoff sleep (call sites hang their counters on it).
         """
         clock = clock or SystemClock()
         attempt = 0
@@ -200,8 +128,6 @@ class RetryPolicy:
                 return fn()
             except retry_on as exc:
                 if attempt >= self.max_retries:
-                    raise
-                if deadline is not None and deadline.expired:
                     raise
                 delay = self.delay(attempt)
                 attempt += 1
@@ -217,149 +143,6 @@ class RetryPolicy:
             f"RetryPolicy(max_retries={self.max_retries}, base={self.base}, "
             f"cap={self.cap}, jitter={self.jitter})"
         )
-
-
-class CircuitOpenError(Exception):
-    """Raised instead of calling through while the circuit is open."""
-
-
-class CircuitBreaker:
-    """A closed → open → half-open circuit breaker.
-
-    ``failure_threshold`` *consecutive* failures open the circuit: calls
-    then fail fast with :class:`CircuitOpenError` for ``reset_timeout``
-    clock-seconds, after which up to ``half_open_probes`` trial calls are
-    let through — one success closes the circuit, one failure re-opens it
-    for another timeout.  Thread-safe; time comes from the injected clock.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        half_open_probes: int = 1,
-        clock: Optional[Clock] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        if failure_threshold <= 0:
-            raise ValueError("failure_threshold must be positive")
-        if reset_timeout < 0:
-            raise ValueError("reset_timeout must be >= 0")
-        if half_open_probes <= 0:
-            raise ValueError("half_open_probes must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
-        self.clock = clock or SystemClock()
-        self.name = name
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._probes_in_flight = 0
-        #: Lifetime counters (tests and /stats read these).
-        self.successes = 0
-        self.failures = 0
-        self.rejections = 0
-        self.opens = 0
-
-    @property
-    def state(self) -> str:
-        """The current state, with the open → half-open transition applied."""
-        with self._lock:
-            return self._state_locked()
-
-    def _state_locked(self) -> str:
-        if self._state == self.OPEN and (
-            self.clock.now() - self._opened_at >= self.reset_timeout
-        ):
-            self._state = self.HALF_OPEN
-            self._probes_in_flight = 0
-            self._note_transition_locked()
-        return self._state
-
-    def _note_transition_locked(self) -> None:
-        """Record the state just entered in the telemetry registry."""
-        if not metrics.enabled:
-            return
-        state = self._state
-        _breaker_transitions.inc(state=state)
-        _breaker_state.set(
-            _BREAKER_STATE_CODE.get(state, -1), breaker=self.name or "unnamed"
-        )
-
-    def allow(self) -> bool:
-        """Whether a call may proceed right now (claims a half-open probe)."""
-        with self._lock:
-            state = self._state_locked()
-            if state == self.CLOSED:
-                return True
-            if state == self.HALF_OPEN and self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.successes += 1
-            self._consecutive_failures = 0
-            if self._state != self.CLOSED:
-                self._state = self.CLOSED
-                self._probes_in_flight = 0
-                self._note_transition_locked()
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-            self._consecutive_failures += 1
-            state = self._state_locked()
-            if state == self.HALF_OPEN or (
-                state == self.CLOSED
-                and self._consecutive_failures >= self.failure_threshold
-            ):
-                self._open_locked()
-
-    def _open_locked(self) -> None:
-        self._state = self.OPEN
-        self._opened_at = self.clock.now()
-        self._probes_in_flight = 0
-        self.opens += 1
-        self._note_transition_locked()
-
-    def call(self, fn: Callable):
-        """Run ``fn`` through the breaker: fail fast while open, record the
-        outcome otherwise.  The wrapped call's exceptions propagate."""
-        if not self.allow():
-            with self._lock:
-                self.rejections += 1
-            if metrics.enabled:
-                _breaker_rejections.inc()
-            label = f" {self.name!r}" if self.name else ""
-            raise CircuitOpenError(f"circuit{label} is open")
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
-    def stats(self) -> Dict[str, Union[str, int]]:
-        """State plus the lifetime counters, for /stats-style surfaces."""
-        return {
-            "state": self.state,
-            "successes": self.successes,
-            "failures": self.failures,
-            "rejections": self.rejections,
-            "opens": self.opens,
-        }
-
-    def __repr__(self) -> str:
-        return f"CircuitBreaker(state={self.state!r}, opens={self.opens})"
 
 
 class Supervisor:

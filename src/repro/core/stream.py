@@ -33,8 +33,9 @@ ASN, AS path, community) apply as elems are pulled from a record: through
 ``rec.elems()`` is the record's unfiltered decomposition.
 
 Both idioms also run in **live mode**: with a live data interface
-(``BGPStream(live={"broker": message_broker})``, or
-``data_interface="kafka"``) the records come off a BMP-over-Kafka feed
+(``BGPStream(data_interface=LiveDataInterface(broker=message_broker))``,
+or ``data_interface="kafka"`` with ``interface_options={"broker":
+message_broker}``) the records come off a BMP-over-Kafka feed
 (:mod:`repro.bmp`) instead of dump files, flow through the same filter
 pipeline, and an ``add_interval_filter(t0, until_ts)`` bounds the
 live window so bin-oriented consumers terminate deterministically.
@@ -49,11 +50,7 @@ from repro.core import metrics
 from repro.core.elem import BGPElem
 from repro.core.filters import FilterSet
 from repro.core.intern import InternPool, default_pool
-from repro.core.interfaces import (
-    DataInterface,
-    LiveDataInterface,
-    make_data_interface,
-)
+from repro.core.interfaces import DataInterface, make_data_interface
 from repro.core.record import BGPStreamRecord, RecordStatus
 from repro.core.sorter import SortedRecordMerger
 
@@ -78,7 +75,6 @@ class BGPStream:
         # argument survives only because the frozen ledger passes it
         # (``ledger/live.py:90``).
         interning: object = True,
-        live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
         # Accepted and ignored like ``interning=``: decode is lazy, and
         # ``ledger/live.py:90`` still passes ``eager=None``.
@@ -89,29 +85,17 @@ class BGPStream:
         (``"broker"``, ``"csvfile"``, ``"sqlite"``, ``"singlefile"``,
         ``"kafka"``); a name is resolved through
         :func:`repro.core.interfaces.make_data_interface` with
-        ``interface_options``.  ``live`` is a shortcut for the BMP live
-        mode: pass a ready :class:`LiveDataInterface` or a dict of its
-        options (broker, topics, poll bounds, ...) and the stream reads the
-        near-realtime feed instead of dump files.
+        ``interface_options``.  A live interface
+        (:class:`~repro.core.interfaces.LiveDataInterface`, or ``"kafka"``
+        with its options: broker, topics, poll bounds, ...) makes the
+        stream read the near-realtime BMP feed instead of dump files.
 
         ``segment_cache`` (a :class:`repro.broker.segments.SegmentCache`)
         makes every dump-file reader this stream opens replay decoded
         segments of unchanged dump files from disk instead of re-decoding
         MRT, and persist newly decoded files for the next run."""
         self.filters = filters or FilterSet()
-        if data_interface is not None and live is not None:
-            raise ValueError("pass either data_interface or live, not both")
-        if live is not None:
-            if interface_options:
-                raise ValueError(
-                    "interface_options do not apply to live= (pass the "
-                    "options inside the live dict instead)"
-                )
-            if isinstance(live, LiveDataInterface):
-                data_interface = live
-            else:
-                data_interface = make_data_interface("kafka", **live)
-        elif data_interface is not None:
+        if data_interface is not None:
             data_interface = make_data_interface(
                 data_interface, **(interface_options or {})
             )

@@ -527,7 +527,10 @@ class StreamHub:
                 raise ValueError("StreamHub needs a stream or a stream_factory")
             stream = stream_factory()
         if not stream.is_live:
-            raise ValueError("StreamHub needs a live BGPStream (BGPStream(live=...))")
+            raise ValueError(
+                "StreamHub needs a live BGPStream "
+                "(BGPStream(data_interface=LiveDataInterface(...)))"
+            )
         self.stream = stream
         self._stream_factory = stream_factory
         if max_restarts is None:

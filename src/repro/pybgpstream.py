@@ -19,6 +19,8 @@ paper's scripts port with minimal changes.  The real bindings default to the
 public Broker instance at UC San Diego; since there is no network here, the
 default data source is configured per-process with
 :func:`set_default_data_interface` (or passed to ``BGPStream`` directly).
+The same loop reads the near-realtime BMP feed when the stream is given a
+live interface: ``BGPStream(data_interface=LiveDataInterface(...))``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.core.elem import BGPElem as _CoreElem
-from repro.core.interfaces import DataInterface, LiveDataInterface
+from repro.core.interfaces import DataInterface
 from repro.core.record import BGPStreamRecord as _CoreRecord
 from repro.core.stream import BGPStream as _CoreStream
 
@@ -128,21 +130,20 @@ class BGPStream:
 
     ``data_interface`` also accepts a registry name (``"broker"``,
     ``"csvfile"``, ``"sqlite"``, ``"singlefile"``, ``"kafka"``) together
-    with ``interface_options``, matching the paper's named-interface API;
-    and ``live=`` switches the Listing-1 idiom onto the near-realtime
-    BMP-over-Kafka feed (pass a ready
-    :class:`~repro.core.interfaces.LiveDataInterface` or a dict of its
-    options, e.g. ``live={"broker": message_broker}``).
+    with ``interface_options``, matching the paper's named-interface API.
+    A live interface switches the Listing-1 idiom onto the near-realtime
+    BMP-over-Kafka feed: pass a ready
+    :class:`~repro.core.interfaces.LiveDataInterface`, or ``"kafka"`` with
+    its options (``interface_options={"broker": message_broker}``).
     """
 
     def __init__(
         self,
         data_interface: Union[DataInterface, str, None] = None,
-        live: Union[LiveDataInterface, Dict, None] = None,
         interface_options: Optional[Dict] = None,
     ) -> None:
         interface = data_interface
-        if interface is None and live is None:
+        if interface is None:
             interface = _default_interface
             if interface is None:
                 raise RuntimeError(
@@ -151,7 +152,6 @@ class BGPStream:
                 )
         self._stream = _CoreStream(
             data_interface=interface,
-            live=live,
             interface_options=interface_options,
         )
 

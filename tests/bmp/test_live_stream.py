@@ -283,12 +283,12 @@ class TestBoundedWindows:
             poll_interval=0.0,
             max_poll_messages=4,
         )
-        stream = BGPStream(live=interface)
+        stream = BGPStream(data_interface=interface)
         stream.add_interval_filter(1000, 1500)
         assert [record.time for record in stream.records()] == list(range(1000, 1010))
         # ... and the held-back message surfaces in the next window
         follow_up = BGPStream(
-            live=LiveDataInterface(
+            data_interface=LiveDataInterface(
                 broker=broker,
                 topics=["feed-ahead", "feed-behind"],
                 max_empty_polls=1,
@@ -326,7 +326,7 @@ class TestBoundedWindows:
                 poll_interval=0.0,
                 max_poll_messages=2,
             )
-            stream = BGPStream(live=interface)
+            stream = BGPStream(data_interface=interface)
             stream.add_interval_filter(start, end)
             return sorted(record.time for record in stream.records())
 
@@ -367,7 +367,7 @@ class TestBoundedWindows:
             poll_interval=0.0,
             max_poll_messages=1,
         )
-        stream = BGPStream(live=interface)
+        stream = BGPStream(data_interface=interface)
         stream.add_interval_filter(0, 1000)
         assert sorted(record.time for record in stream.records()) == [990, 995]
 
@@ -439,7 +439,7 @@ class TestBoundedWindows:
                 poll_interval=0.0,
                 max_poll_messages=2,  # smaller than the partition count
             )
-            stream = BGPStream(live=interface)
+            stream = BGPStream(data_interface=interface)
             stream.add_interval_filter(start, end)
             return sorted(record.time for record in stream.records())
 
@@ -482,7 +482,7 @@ class TestBoundedWindows:
             poll_interval=0.0,
             max_poll_messages=1,  # straddler seen on poll 1, peers later
         )
-        stream = BGPStream(live=interface)
+        stream = BGPStream(data_interface=interface)
         stream.add_interval_filter(0, 1000)
         times = sorted(record.time for record in stream.records())
         assert times == [995, 996, 997, 998]  # 998 exactly once, 1002 held
@@ -526,7 +526,7 @@ class TestBoundedWindows:
                 poll_interval=0.0,
                 max_poll_messages=2,
             )
-            stream = BGPStream(live=interface)
+            stream = BGPStream(data_interface=interface)
             stream.add_interval_filter(start, end)
             return sorted(record.time for record in stream.records())
 
@@ -856,24 +856,6 @@ class TestStreamConfiguration:
         assert stream.is_live
         assert len(list(stream.records())) == 4
 
-    def test_live_shortcut_dict(self):
-        broker = MessageBroker()
-        publish_sequence(broker, update_sequence())
-        stream = BGPStream(live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0})
-        assert stream.is_live
-        assert len(list(stream.records())) == 4
-
-    def test_live_rejects_interface_options(self):
-        with pytest.raises(ValueError, match="interface_options"):
-            BGPStream(
-                live={"broker": MessageBroker()},
-                interface_options={"max_empty_polls": 1},
-            )
-
-    def test_live_and_data_interface_conflict(self):
-        with pytest.raises(ValueError):
-            BGPStream(data_interface="kafka", live={"broker": MessageBroker()})
-
     def test_unknown_interface_name(self):
         with pytest.raises(ValueError, match="unknown data interface"):
             make_data_interface("carrier-pigeon")
@@ -909,7 +891,8 @@ class TestPyBGPStreamLive:
         broker = MessageBroker()
         publish_sequence(broker, update_sequence())
         stream = PyBGPStream(
-            live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0}
+            data_interface="kafka",
+            interface_options={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0},
         )
         assert stream.is_live
         stream.add_filter("record-type", "updates")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.broker.broker import Broker, BrokerQuery, MAX_PAGE_SIZE
-from repro.broker.cursor import CursorError
+from repro.broker.cursor import CursorError, encode_cursor
 from repro.broker.db import DumpFileRecord, MetadataDB
 
 
@@ -30,7 +30,7 @@ class TestQueryPage:
         seen = []
         after = None
         while True:
-            page = db.query_page(order="time", after=after, limit=7)
+            page = db.query_page(after=after, limit=7)
             if not page:
                 break
             seen.extend(page)
@@ -41,7 +41,7 @@ class TestQueryPage:
 
     def test_rows_carry_file_ids(self):
         db = _filled_db(3)
-        ids = [r.file_id for r in db.query_page(order="time")]
+        ids = [r.file_id for r in db.query_page()]
         assert all(isinstance(i, int) for i in ids)
         assert ids == sorted(ids)
 
@@ -49,32 +49,18 @@ class TestQueryPage:
         # New rows appended mid-pagination must neither shift nor repeat
         # rows already served: the (key, id) keyset makes pages stable.
         db = _filled_db(10)
-        first = db.query_page(order="time", after=None, limit=5)
+        first = db.query_page(after=None, limit=5)
         # The archive grows while the client holds a cursor: files appear
         # both before and after the cursor position.
         db.insert(_record(0, collector="rrc1"))
         db.insert(_record(100 * 900, collector="rrc1"))
         last = first[-1]
-        rest = db.query_page(order="time", after=(last.timestamp, last.file_id))
+        rest = db.query_page(after=(last.timestamp, last.file_id))
         paths = [r.path for r in first + rest]
         assert len(paths) == len(set(paths))  # no repeats
         # Everything at-or-after the cursor key is still served, including
         # the late rrc1 row whose timestamp sorts after the cursor.
         assert any(r.collector == "rrc1" and r.timestamp == 100 * 900 for r in rest)
-
-    def test_published_order_pages_by_available_at(self):
-        db = MetadataDB()
-        # Publication order deliberately disagrees with nominal time order.
-        db.insert(_record(900, available_at=50))
-        db.insert(_record(0, available_at=100))
-        db.insert(_record(1800, available_at=75))
-        page = db.query_page(order="published")
-        assert [r.available_at for r in page] == [50, 75, 100]
-
-    def test_unknown_order_rejected(self):
-        db = _filled_db(1)
-        with pytest.raises(ValueError):
-            db.query_page(order="alphabetical")
 
 
 class TestBrokerWindowPagination:
@@ -118,13 +104,13 @@ class TestBrokerWindowPagination:
             broker.get_window(other, cursor=cursor, page_size=2)
 
     def test_publication_cursor_rejected_as_window_cursor(self):
+        # Publication-ordered pages are gone, but a cursor one of them
+        # handed out (a {"pub", "id"} payload) must still be refused.
         broker = self._broker(10)
-        query = BrokerQuery(interval_start=0, interval_end=None)
-        pub = broker.get_new_files_page(query, page_size=2, now=10**9)
-        assert pub.next_cursor is not None
         bounded = BrokerQuery(interval_start=0, interval_end=10 * 900)
-        with pytest.raises(CursorError):
-            broker.get_window(bounded, cursor=pub.next_cursor)
+        pub = encode_cursor({"pub": 1000.0, "id": 2}, bounded.fingerprint())
+        with pytest.raises(CursorError, match="not a window cursor"):
+            broker.get_window(bounded, cursor=pub)
 
     def test_first_window_overlap_survives_pagination(self):
         # A file starting before the interval but reaching into it must be
@@ -144,44 +130,3 @@ class TestBrokerWindowPagination:
         query = BrokerQuery(interval_start=0, interval_end=5 * 900)
         with pytest.raises(ValueError):
             broker.get_window(query, page_size=0)
-
-
-class TestPublicationPagination:
-    def test_cursor_is_durable_watermark(self):
-        db = MetadataDB()
-        db.insert(_record(0, available_at=100))
-        db.insert(_record(900, available_at=200))
-        broker = Broker(db=db)
-        query = BrokerQuery(interval_start=0, interval_end=None)
-
-        first = broker.get_new_files_page(query, page_size=10, now=1000)
-        assert len(first) == 2 and not first.more_data
-        watermark = first.next_cursor
-        assert watermark is not None
-
-        # Caught up: polling with the watermark returns nothing new.
-        again = broker.get_new_files_page(query, cursor=watermark, page_size=10, now=1000)
-        assert again.empty
-        assert again.next_cursor is None  # nothing newer to checkpoint
-
-        # A late out-of-nominal-order publication appears on the next poll.
-        db.insert(_record(300, available_at=500, collector="late"))
-        later = broker.get_new_files_page(query, cursor=watermark, page_size=10, now=1000)
-        assert [f.collector for f in later] == ["late"]
-
-    def test_publication_pages_bounded_and_complete(self):
-        db = MetadataDB()
-        for i in range(9):
-            db.insert(_record(i * 900, available_at=10 + i))
-        broker = Broker(db=db)
-        query = BrokerQuery(interval_start=0, interval_end=None)
-        cursor = None
-        seen = []
-        while True:
-            page = broker.get_new_files_page(query, cursor=cursor, page_size=4, now=10**9)
-            if page.empty:
-                break
-            assert len(page) <= 4
-            seen.extend(f.path for f in page)
-            cursor = page.next_cursor
-        assert len(seen) == len(set(seen)) == 9

@@ -1,6 +1,6 @@
 """Chaos equivalence: injected faults never silently change the stream.
 
-ISSUE 9 capstone.  Every test replays a recorded scenario twice — once
+Every test replays a recorded scenario twice — once
 fault-free, once with scripted faults injected through
 :mod:`repro.core.resilience` — and asserts the surviving end-to-end elem
 sequence is *exactly* the fault-free sequence modulo explicitly marked
@@ -8,8 +8,6 @@ gaps:
 
 * transient Kafka-consumer faults absorbed by the poll retry policy →
   byte-for-byte equivalence, zero markers;
-* broker-transport faults absorbed by the client retry policy → the same
-  paginated file list;
 * corrupted BMP frames → the fault-free sequence minus exactly the
   corrupted frames' elems, with the corruption *counted*, never silent;
 * non-transient bridge crashes → supervised restarts resume from the
@@ -28,9 +26,6 @@ import socket
 
 from repro.bmp import BMPFeedProducer
 from repro.bmp.source import BMPKafkaDataSource
-from repro.broker.broker import Broker, BrokerQuery
-from repro.broker.client import BrokerClient, BrokerRequestError, LocalBrokerTransport
-from repro.broker.db import DumpFileRecord, MetadataDB
 from repro.core.interfaces import LiveDataInterface
 from repro.core.resilience import RetryPolicy
 from repro.core.stream import BGPStream
@@ -117,37 +112,6 @@ class TestConsumerFaultEquivalence:
         assert crashes.injected == 2 and transient.injected == 1
         assert hub.crashes == 2 and hub.restarts == 2 and not hub.gave_up
         assert sum(w.crash_before for w in windows) == 2  # marked, never silent
-
-
-class TestBrokerTransportEquivalence:
-    @staticmethod
-    def _broker(n=20):
-        db = MetadataDB()
-        for i in range(n):
-            db.insert(
-                DumpFileRecord(
-                    "ris", "rrc0", "updates", i * 900, 900,
-                    f"/a/rrc0/{i * 900}.mrt.gz", i * 900 + 960,
-                )
-            )
-        return Broker(db=db, window_span=7200)
-
-    def test_flaky_transport_serves_the_same_paginated_file_list(self):
-        broker = self._broker(20)
-        query = BrokerQuery(interval_start=0, interval_end=20 * 900)
-        reference = [f.path for f in BrokerClient(broker, page_size=3).iter_files(query)]
-
-        plan = FaultPlan(fail_at=(0, 2, 3), error=BrokerRequestError)
-        client = BrokerClient(
-            transport=inject_faults(
-                LocalBrokerTransport(broker), plan, ["get_window", "get_new_files_page"]
-            ),
-            page_size=3,
-            clock=SimulatedClock(0.0),
-        )
-        assert [f.path for f in client.iter_files(query)] == reference
-        assert plan.injected == 3
-        assert client.retries == 3  # absorbed by the shared RetryPolicy
 
 
 class TestFrameCorruptionEquivalence:

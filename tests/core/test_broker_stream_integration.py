@@ -1,5 +1,6 @@
 """Integration tests: paginated broker interface, broker replay,
-segment-cached replay, and the bgpreader cache/cursor flags."""
+segment-cached replay, broker telemetry, and the bgpreader cache/cursor
+flags."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.broker.broker import Broker
 from repro.broker.segments import SegmentCache
+from repro.core import metrics
+from repro.core.filters import FilterSet
 from repro.core.interfaces import BrokerDataInterface
 from repro.core.reader import build_parser, run
 from repro.core.stream import BGPStream
@@ -52,6 +55,46 @@ class TestPaginatedInterface:
         resumed.add_interval_filter(core_scenario.start, core_scenario.end)
         rest_paths = {s.path for b in resumed_iface.batches(resumed.filters) for s in b}
         assert not {s.path for s in first} & rest_paths
+
+
+def _added(before, after, name, labels):
+    return after.get(name, {}).get(labels, 0) - before.get(name, {}).get(labels, 0)
+
+
+class TestBrokerTelemetry:
+    """The broker families count the queries the stream's interface makes."""
+
+    def _measure(self, run):
+        metrics.enable()
+        try:
+            before = metrics.metrics_snapshot()
+            run()
+            return before, metrics.metrics_snapshot()
+        finally:
+            metrics.disable()
+
+    def test_historical_stream_counts_its_window_queries(self, core_archive, core_scenario):
+        broker = Broker(archives=[core_archive], window_span=1800)
+        stream = BGPStream(data_interface=BrokerDataInterface(broker))
+        stream.add_interval_filter(core_scenario.start, core_scenario.end)
+        records = []
+        before, after = self._measure(lambda: records.extend(stream.records()))
+        assert records
+        label = '{method="get_window"}'
+        windows = _added(before, after, "repro_broker_requests_total", label)
+        assert windows >= 1
+        assert windows == broker.queries_served
+        assert _added(before, after, "repro_broker_request_latency_seconds", label) == windows
+
+    def test_live_pull_counts_its_publication_queries(self, core_archive):
+        broker = Broker(archives=[core_archive])
+        interface = BrokerDataInterface(broker, max_empty_polls=1, poll_interval=0.0)
+        batches = []
+        before, after = self._measure(lambda: batches.extend(interface.batches(FilterSet())))
+        assert batches  # the first poll sees the whole archive, the second nothing
+        label = '{method="get_new_files"}'
+        assert _added(before, after, "repro_broker_requests_total", label) == 2
+        assert _added(before, after, "repro_broker_requests_total", '{method="get_window"}') == 0
 
 
 class TestBrokerReplay:

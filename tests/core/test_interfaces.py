@@ -22,7 +22,6 @@ from repro.core.interfaces import (
     SQLiteDataInterface,
     _spec_matches,
     make_data_interface,
-    register_data_interface,
 )
 
 FILES = [
@@ -194,16 +193,6 @@ class TestRegistry:
         assert make_data_interface(instance) is instance
         with pytest.raises(ValueError, match="registry name"):
             make_data_interface(instance, path="x")
-
-    def test_custom_registration(self, tmp_path):
-        sentinel = CSVFileDataInterface(str(tmp_path / "i.csv"))
-        register_data_interface("custom-test", lambda: sentinel)
-        try:
-            assert make_data_interface("custom-test") is sentinel
-        finally:
-            from repro.core.interfaces import _INTERFACE_REGISTRY
-
-            _INTERFACE_REGISTRY.pop("custom-test", None)
 
     def test_kafka_name_builds_live_interface(self):
         from repro.kafka.broker import MessageBroker

@@ -29,7 +29,7 @@ from repro.bgp import message as bgp_message
 from repro.bgp.attributes import LazyPathAttributes, PathAttributes, decode_attributes
 from repro.bgp.community import CommunitySet
 from repro.bgp.fsm import SessionState
-from repro.bgp.message import BGPDecodeError, BGPUpdate, decode_update
+from repro.bgp.message import BGPUpdate, decode_update
 from repro.bgp.prefix import Prefix
 from repro.bmp.codec import scan_messages
 from repro.bmp.messages import BMPMessage, BMPPeerHeader
@@ -268,7 +268,7 @@ def test_lazy_equivalence_under_live_bmp_feed():
             peer = BMPPeerHeader(address=address, asn=asn, timestamp_sec=timestamp)
             producer.publish(BMPMessage.route_monitoring(peer, update))
         stream = BGPStream(
-            live={"broker": broker, "max_empty_polls": 1, "poll_interval": 0.0},
+            data_interface=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0),
         )
         out = []
         deferred = 0

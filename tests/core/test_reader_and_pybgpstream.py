@@ -169,7 +169,18 @@ class TestBGPReaderCLI:
             ["InternPool", "default_pool", "reset_default_pool", "DEFAULT_MAX_ENTRIES"]
         )
         assert list(inspect.signature(pybgpstream.BGPStream.__init__).parameters) == [
-            "self", "data_interface", "live", "interface_options",
+            "self",
+            "data_interface",
+            "interface_options",
+        ]
+        assert list(inspect.signature(BGPStream.__init__).parameters) == [
+            "self",
+            "data_interface",
+            "filters",
+            "interning",
+            "interface_options",
+            "eager",
+            "segment_cache",
         ]
 
     def test_eager_keyword_is_an_inert_shim(self, core_archive):

@@ -1,9 +1,8 @@
 """Deterministic timing of the resilience toolkit under a fake clock.
 
-ISSUE 9 satellite: backoff schedules, seeded jitter, circuit-breaker state
-transitions and supervisor restart budgets are all asserted with exact
-clock arithmetic on a :class:`SimulatedClock` — no real sleeping, no
-wall-clock reads, no flakiness.
+Backoff schedules, seeded jitter and supervisor restart budgets are all
+asserted with exact clock arithmetic on a :class:`SimulatedClock` — no
+real sleeping, no wall-clock reads, no flakiness.
 """
 
 from __future__ import annotations
@@ -13,15 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-    Supervisor,
-    TransientError,
-)
+from repro.core.resilience import RetryPolicy, Supervisor, TransientError
 from repro.utils.timeutil import SimulatedClock
 
 from tests.fault_injection import FaultPlan, InjectedFault, inject_faults
@@ -103,135 +94,11 @@ class TestRetryPolicy:
     def test_zero_jitter_means_no_rng(self):
         assert RetryPolicy(jitter=0.0).delays() == RetryPolicy(jitter=0.0).delays()
 
-    def test_deadline_stops_the_retry_loop_early(self):
-        clock = SimulatedClock(0.0)
-        policy = RetryPolicy(max_retries=10, base=2.0, cap=30.0)
-        deadline = Deadline(3.0, clock=clock)
-        attempts = []
-
-        def always_fails():
-            attempts.append(clock.now())
-            raise TransientError("down")
-
-        with pytest.raises(TransientError):
-            policy.run(always_fails, clock=clock, deadline=deadline)
-        # Attempts at 0, 2 (backoff 2s); at t=2+4=6 the deadline (3s) is
-        # spent, so the loop gives up instead of burning all 10 retries.
-        assert len(attempts) < 11
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            Deadline(-1.0)
-
-
-class TestDeadline:
-    def test_expiry_follows_the_clock(self):
-        clock = SimulatedClock(100.0)
-        deadline = Deadline(5.0, clock=clock)
-        assert not deadline.expired
-        assert deadline.remaining() == pytest.approx(5.0)
-        clock.sleep(4.0)
-        assert deadline.remaining() == pytest.approx(1.0)
-        deadline.check()  # no raise
-        clock.sleep(1.0)
-        assert deadline.expired
-        assert deadline.remaining() == 0.0
-        with pytest.raises(DeadlineExceeded):
-            deadline.check("poll")
-
-
-class TestCircuitBreaker:
-    def make(self, clock, threshold=3, reset=10.0):
-        return CircuitBreaker(
-            failure_threshold=threshold, reset_timeout=reset, clock=clock
-        )
-
-    def test_opens_after_consecutive_failures(self):
-        clock = SimulatedClock(0.0)
-        breaker = self.make(clock)
-
-        def boom():
-            raise TransientError("x")
-
-        for _ in range(3):
-            with pytest.raises(TransientError):
-                breaker.call(boom)
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-        assert breaker.rejections == 1
-        assert breaker.opens == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        clock = SimulatedClock(0.0)
-        breaker = self.make(clock, threshold=3)
-
-        def boom():
-            raise TransientError("x")
-
-        for _ in range(2):
-            with pytest.raises(TransientError):
-                breaker.call(boom)
-        breaker.call(lambda: "ok")
-        for _ in range(2):
-            with pytest.raises(TransientError):
-                breaker.call(boom)
-        assert breaker.state == CircuitBreaker.CLOSED  # never hit 3 in a row
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = SimulatedClock(0.0)
-        breaker = self.make(clock, threshold=1, reset=10.0)
-        with pytest.raises(TransientError):
-            breaker.call(self._boom)
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.sleep(9.9)
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "still open")
-        clock.sleep(0.1)  # reset_timeout reached exactly
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.call(lambda: "probe") == "probe"
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_failure_reopens_for_another_timeout(self):
-        clock = SimulatedClock(0.0)
-        breaker = self.make(clock, threshold=1, reset=10.0)
-        with pytest.raises(TransientError):
-            breaker.call(self._boom)
-        clock.sleep(10.0)
-        with pytest.raises(TransientError):
-            breaker.call(self._boom)  # the probe fails
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 2
-        clock.sleep(5.0)
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "x")  # second timeout not yet served
-        clock.sleep(5.0)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-
-    def test_half_open_admits_a_bounded_probe_count(self):
-        clock = SimulatedClock(0.0)
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=1.0, half_open_probes=2, clock=clock
-        )
-        with pytest.raises(TransientError):
-            breaker.call(self._boom)
-        clock.sleep(1.0)
-        assert breaker.allow()  # probe 1
-        assert breaker.allow()  # probe 2
-        assert not breaker.allow()  # probes exhausted until an outcome lands
-
-    def test_stats_shape(self):
-        breaker = self.make(SimulatedClock(0.0))
-        stats = breaker.stats()
-        assert set(stats) == {"state", "successes", "failures", "rejections", "opens"}
-
-    @staticmethod
-    def _boom():
-        raise TransientError("x")
 
 
 class TestSupervisor:

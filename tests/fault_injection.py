@@ -3,7 +3,7 @@
 A :class:`FaultPlan` scripts failures by call index (deterministically — no
 randomness, no wall clock) and :func:`inject_faults` wraps any object so
 the scripted faults fire before its named methods run.  The same plan
-object injects transient Kafka poll errors, broker transport failures, and
+object injects transient Kafka poll errors, Broker query failures, and
 permanent outages.  Import it as ``from tests.fault_injection import ...``.
 """
 
@@ -124,11 +124,10 @@ class FaultInjector:
 def inject_faults(inner, plan: FaultPlan, methods: Iterable[str]) -> FaultInjector:
     """Wrap ``inner`` so ``plan``'s scripted faults fire before ``methods``.
 
-    The three chaos-suite layers are all spelled with this one helper::
+    Every layer is spelled with this one helper::
 
         inject_faults(consumer, plan, ["poll"])                 # Kafka consumer
         inject_faults(source, plan, ["poll"])                   # BMP feed source
-        inject_faults(transport, plan,
-                      ["get_window", "get_new_files_page"])     # broker transport
+        inject_faults(broker, plan, ["get_window", "get_new_files"])  # Broker
     """
     return FaultInjector(inner, plan, methods)

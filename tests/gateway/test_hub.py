@@ -54,7 +54,7 @@ def publish_feed(messages) -> MessageBroker:
 
 def live_hub(messages) -> StreamHub:
     stream = BGPStream(
-        live=LiveDataInterface(
+        data_interface=LiveDataInterface(
             broker=publish_feed(messages), max_empty_polls=1, poll_interval=0.0
         )
     )
@@ -224,7 +224,7 @@ class TestSubscriberUnit:
             make_update(65001, f"{net}.{i}.0/24", BASE_TS + i) for i in range(seconds)
         ]
         stream = BGPStream(
-            live=LiveDataInterface(
+            data_interface=LiveDataInterface(
                 broker=publish_feed(messages), max_empty_polls=1, poll_interval=0.0
             )
         )
@@ -397,7 +397,7 @@ class TestHubLifecycle:
         # The bridge is blocked in the idle wait of a feed that never ends
         # (max_empty_polls=None); it used to outlive stop() altogether.
         interface = LiveDataInterface(broker=MessageBroker(), poll_interval=0.2)
-        hub = StreamHub(BGPStream(live=interface))
+        hub = StreamHub(BGPStream(data_interface=interface))
         subscriber = hub.subscribe(FilterSet())
         thread = hub.start()
         time.sleep(0.05)  # let the bridge reach its wait

@@ -110,7 +110,7 @@ def filter_set(terms, interval) -> FilterSet:
 def feed_elems(messages):
     """The elems the hub's bridge will see, decoded by a second stream."""
     stream = BGPStream(
-        live=LiveDataInterface(
+        data_interface=LiveDataInterface(
             broker=publish_feed(messages), max_empty_polls=1, poll_interval=0.0
         )
     )

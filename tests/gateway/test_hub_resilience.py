@@ -15,7 +15,6 @@ import pytest
 
 from repro.bmp import BMPFeedProducer
 from repro.bmp.source import BMPKafkaDataSource
-from repro.core.filters import FilterSet
 from repro.core.interfaces import LiveDataInterface
 from repro.core.resilience import RetryPolicy
 from repro.core.stream import BGPStream
@@ -333,7 +332,7 @@ def _elem(ts, prefix):
     broker = MessageBroker()
     BMPFeedProducer(broker, router="elem.gw").publish(message)
     stream = BGPStream(
-        live=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
+        data_interface=LiveDataInterface(broker=broker, max_empty_polls=1, poll_interval=0.0)
     )
     for record in stream.records():
         for elem in record.elems():

@@ -1,8 +1,8 @@
 """End-to-end /metrics: every tier shows up in one gateway scrape.
 
 The acceptance test of the unified telemetry tier: with metrics enabled, a
-live feed decodes through the hub, a broker client pulls pages through a
-segment-cached reader path, a retry and a breaker trip fire — then one
+live feed decodes through the hub, the broker data interface pulls a
+window, a segment-cache lookup misses and a retry fires — then one
 ``GET /metrics`` over a real socket must return valid Prometheus text
 exposition carrying at least one metric from each tier (decode, intern,
 broker, segment cache, kafka, resilience, hub).
@@ -43,31 +43,28 @@ SAMPLE_LINE_RE = re.compile(
 
 def exercise_other_tiers(tmp_path):
     """Touch the broker, segment-cache and resilience tiers directly."""
-    from repro.broker.client import BrokerClient, BrokerRequestError
+    from repro.broker.broker import Broker
+    from repro.broker.db import MetadataDB
     from repro.broker.segments import SegmentCache
+    from repro.core.interfaces import BrokerDataInterface
+    from repro.core.resilience import TransientError
 
-    # Broker tier: one request that fails transiently once, then succeeds —
-    # also the resilience tier's retry counter.
-    class FlakyTransport:
-        def __init__(self):
-            self.calls = 0
+    # Broker tier: a bounded pull through the broker data interface, the
+    # Broker's one client.  The window span covers the whole interval, so
+    # the empty index answers one window and the pull ends.
+    interface = BrokerDataInterface(Broker(db=MetadataDB(), window_span=3600))
+    assert list(interface.batches(FilterSet().add_interval(0, 3600))) == []
 
-        def get_window(self, query, cursor, page_size, now, from_time=None):
-            self.calls += 1
-            if self.calls == 1:
-                raise BrokerRequestError("injected")
+    # Resilience tier: one call that fails transiently once, then succeeds.
+    calls = []
 
-            class Page:
-                files = []
-                next_cursor = None
+    def flaky():
+        calls.append(None)
+        if len(calls) == 1:
+            raise TransientError("injected")
+        return "ok"
 
-            return Page()
-
-    client = BrokerClient(
-        transport=FlakyTransport(),
-        retry_policy=RetryPolicy(max_retries=2, base=0.0),
-    )
-    list(client.iter_pages(None))
+    assert RetryPolicy(max_retries=2, base=0.0).run(flaky) == "ok"
 
     # Segment-cache tier: one miss.
     cache = SegmentCache(str(tmp_path / "segcache"))
@@ -157,9 +154,8 @@ class TestMetricsEndpoint:
         assert sample(r"^repro_kafka_poll_latency_seconds_count (\d+)$") > 0
         assert sample(r"^repro_decode_bmp_frames_scanned_total (\d+)$") > 0
         assert re.search(r"^repro_intern_operations_total\{", body, flags=re.MULTILINE)
-        assert added("repro_broker_requests_total", '{method="get_window"}') == 2
-        assert added("repro_broker_retries_total") == 1
-        assert sample(r"^repro_resilience_retry_attempts_total (\d+)$") >= 1
+        assert added("repro_broker_requests_total", '{method="get_window"}') == 1
+        assert added("repro_resilience_retry_attempts_total") == 1
         assert added("repro_segment_cache_events_total", '{event="miss"}') == 1
         assert sample(r'^repro_stage_latency_seconds_count\{stage="poll"\} (\d+)$') > 0
         assert sample(r'^repro_stage_latency_seconds_count\{stage="fanout"\} (\d+)$') > 0

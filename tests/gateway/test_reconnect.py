@@ -32,7 +32,7 @@ def make_elems(count, net="10.9"):
         make_update(65001, f"{net}.{i}.0/24", BASE_TS + i) for i in range(count)
     ]
     stream = BGPStream(
-        live=LiveDataInterface(
+        data_interface=LiveDataInterface(
             broker=publish_feed(messages), max_empty_polls=1, poll_interval=0.0
         )
     )

@@ -48,6 +48,20 @@ class TestCatalogChecks:
         assert len(problems) == 1
         assert "undocumented_total" in problems[0]
 
+    def test_stale_catalog_row_flagged(self):
+        from repro.core.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("repro_live_total", "Listed and registered.")
+        catalog = (
+            "| `repro_live_total` | counter | — |\n"
+            "| `repro_gone_total` | counter | — |\n"
+            "Prose may still mention `repro_prose_total`.\n"
+        )
+        problems = check_metrics.check_catalog(registry, catalog)
+        assert len(problems) == 1
+        assert "repro_gone_total" in problems[0]
+
     def test_unregistered_decode_stats_family_flagged(self):
         from repro.core.metrics import DECODE_STATS_SERIES, MetricsRegistry
 

@@ -11,7 +11,8 @@ walks the default registry and fails on:
 * histograms whose bucket bounds are not strictly increasing;
 * a registry that renders an invalid text exposition (smoke-parse of
   HELP/TYPE/sample lines);
-* a family missing from the catalog in ``docs/OBSERVABILITY.md``;
+* a family missing from the catalog in ``docs/OBSERVABILITY.md``, and a
+  catalog row naming a family that no instrumented tier registers;
 * a family the ``--decode-stats`` / ``/stats`` rendering reads
   (``metrics.DECODE_STATS_SERIES``) that nothing registered.
 
@@ -28,6 +29,8 @@ from pathlib import Path
 
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+#: A catalog table row's first cell: ``| `repro_...` |``.
+CATALOG_ROW_RE = re.compile(r"^\| `(repro_[a-zA-Z0-9_:]*)` \|", re.MULTILINE)
 SAMPLE_LINE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (?:[0-9.eE+-]+|\+Inf|-Inf|NaN)$"
 )
@@ -47,7 +50,7 @@ INSTRUMENTED_MODULES = (
     "repro.core.interfaces",
     "repro.core.sorter",
     "repro.core.stream",
-    "repro.broker.client",
+    "repro.broker.broker",
     "repro.broker.segments",
     "repro.bmp.source",
     "repro.gateway.hub",
@@ -94,12 +97,18 @@ def check_registry() -> list:
 
 
 def check_catalog(registry, catalog: str) -> list:
-    """Families whose name does not appear (in backticks) in the catalog."""
-    return [
+    """Families missing from the catalog, and catalog rows nothing registers."""
+    problems = [
         f"metric {metric.name!r} is missing from docs/OBSERVABILITY.md"
         for metric in registry.metrics()
         if f"`{metric.name}`" not in catalog
     ]
+    problems.extend(
+        f"docs/OBSERVABILITY.md lists {name!r}, which no instrumented tier registers"
+        for name in CATALOG_ROW_RE.findall(catalog)
+        if registry.get(name) is None
+    )
+    return problems
 
 
 def check_decode_stats(registry, series: dict) -> list:
